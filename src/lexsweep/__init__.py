@@ -36,19 +36,7 @@ from .lexicon import (
     load_stopwords,
     normalize,
 )
-from .measures import (
-    Measure,
-    MeasureSpec,
-    TfIdfScore,
-    document_tfidf_scores,
-    extract,
-    extract_collection_freq,
-    extract_document_freq,
-    extract_interdoc_freq,
-    extract_tfidf,
-    oracle_extract,
-    top_fraction,
-)
+from .measures import Measure, MeasureSpec, extract
 from .reporting import (
     CSV_HEADER,
     ReportBundle,
@@ -82,7 +70,6 @@ __all__ = [
     "ReportBundle",
     "Sentence",
     "SweepResult",
-    "TfIdfScore",
     "Token",
     "WordKeySource",
     "build_gold",
@@ -90,27 +77,20 @@ __all__ = [
     "build_universe",
     "compute_stats",
     "corpus_to_dict",
-    "document_tfidf_scores",
     "dumps_corpus",
     "evaluate",
     "extract",
-    "extract_collection_freq",
-    "extract_document_freq",
-    "extract_interdoc_freq",
-    "extract_tfidf",
     "f_measure",
     "format_lexicon",
     "load_corpus",
     "load_stopwords",
     "normalize",
-    "oracle_extract",
     "parse_corpus",
     "read_metrics_csv",
     "render_svg",
     "run_all_sweeps",
     "run_sweep",
     "threshold_range",
-    "top_fraction",
     "write_csv",
     "write_report_bundle",
     "write_summary_csv",

@@ -187,7 +187,7 @@ def _parse_document(obj: Any, where: str) -> Document:
 def parse_corpus(source: Union[bytes, str, IO[bytes], IO[str]]) -> Corpus:
     """Parse and validate a corpus from JSON text, bytes, or an open stream.
 
-    Raises CorpusParseError on malformed JSON (with line/column) and
+    Raises CorpusParseError on malformed or too deeply nested JSON, and
     CorpusValidationError on schema or invariant violations.  Unknown
     fields and empty sentences produce CorpusWarning.
     """
@@ -204,6 +204,8 @@ def parse_corpus(source: Union[bytes, str, IO[bytes], IO[str]]) -> Corpus:
         raise CorpusParseError(
             f"malformed JSON at line {exc.lineno}, column {exc.colno}: {exc.msg}"
         ) from exc
+    except RecursionError as exc:
+        raise CorpusParseError("JSON nesting is too deep to parse") from exc
 
     if not isinstance(data, dict):
         raise CorpusValidationError("top-level corpus value must be an object")

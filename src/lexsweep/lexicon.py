@@ -70,6 +70,11 @@ class CorpusIndex:
         """Largest number of documents any single word occurs in (0 if empty)."""
         return max(self.doc_counts.values(), default=0)
 
+    @cached_property
+    def rankings(self) -> dict:
+        """Percent-measure word rankings, filled in on first use by measures.extract."""
+        return {}
+
 
 def normalize(token: Token, config: FilterConfig) -> str | None:
     """Return the token's normalized word key, or None if filtered out.

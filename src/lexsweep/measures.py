@@ -6,22 +6,27 @@ each document; tf.idf unions the top n% of each document scored by
 tf(w,d) * ln(N / df(w)); inter-document frequency keeps words occurring
 in at least n documents.
 
-All selections are deterministic: candidates are ordered by score
-descending, then word ascending (code-point order), and the top n% cut
-keeps exactly ceil(n/100 * L) entries.  oracle_extract reimplements the
-whole computation from raw tokens as an independent reference for tests.
+A list is ranked by score descending, then word ascending (code-point
+order), and its top n% keeps exactly ceil(n/100 * L) of its L words.  So
+extractions are nested in the threshold and each word has one entry
+threshold, the smallest percent that keeps it: 100*r // L + 1 for the
+word at 0-based rank r, minimised over documents for document frequency
+and tf.idf.  For inter-document frequency it is the word's document
+count, read the other way, so that extraction is a filter of the counts.
+Each percent measure's words are sorted once by entry threshold and cached
+on the CorpusIndex, so each of its extractions is a prefix of that list.
 """
 
 from __future__ import annotations
 
 import math
+from collections import Counter
 from dataclasses import dataclass
 from enum import Enum
-from fractions import Fraction
+from itertools import accumulate
 from typing import Iterable
 
-from .corpus import Corpus
-from .lexicon import CorpusIndex, FilterConfig, Lexicon, normalize
+from .lexicon import CorpusIndex, Lexicon
 
 
 class Measure(Enum):
@@ -49,9 +54,6 @@ _LABELS = {
     Measure.INTERDOC_FREQ: "Inter-document Frequency",
 }
 
-PERCENT_MEASURES = (Measure.COLLECTION_FREQ, Measure.DOCUMENT_FREQ, Measure.TFIDF)
-
-
 @dataclass(frozen=True)
 class MeasureSpec:
     """A measure plus its threshold: percent in [1,100], or a minimum
@@ -73,155 +75,39 @@ class MeasureSpec:
             )
 
 
-@dataclass(frozen=True)
-class TfIdfScore:
-    """tf.idf of one word in one document: tf(w,d) * ln(N / df(w))."""
-
-    word: str
-    document: str
-    score: float
-
-
-def _cut_size(count: int, percent: int) -> int:
-    # ceil(percent/100 * count) in exact integer arithmetic
-    return (percent * count + 99) // 100
-
-
-def top_fraction(scored: Iterable[tuple[str, float]], percent: int) -> set[str]:
-    """Keep the top ceil(percent/100 * L) keys of L uniquely-keyed pairs.
-
-    Ordering is score descending with ties broken by key ascending, so the
-    result is independent of input order.
-    """
-    if not 1 <= percent <= 100:
-        raise ValueError(f"percent must be in [1, 100], got {percent}")
+def _enter(entries: dict[str, int], scored: Iterable[tuple[str, float]]) -> None:
+    """Lower each word's entry threshold to its percent rank in one list."""
     ranked = sorted(scored, key=lambda pair: (-pair[1], pair[0]))
-    return {word for word, _ in ranked[: _cut_size(len(ranked), percent)]}
+    length = len(ranked)
+    for rank, (word, _) in enumerate(ranked):
+        entries[word] = min(entries.get(word, 100), 100 * rank // length + 1)
 
 
-def _doc_scores(index: CorpusIndex, document_id: str) -> list[tuple[str, float]]:
-    log = math.log
-    n = index.n_documents
-    doc_counts = index.doc_counts
-    return [
-        (word, tf * log(n / doc_counts[word]))
-        for word, tf in index.per_document[document_id].items()
-    ]
-
-
-def document_tfidf_scores(index: CorpusIndex, document_id: str) -> list[TfIdfScore]:
-    """tf.idf scores for every word occurring in the given document."""
-    return [
-        TfIdfScore(word=word, document=document_id, score=score)
-        for word, score in _doc_scores(index, document_id)
-    ]
-
-
-def extract_collection_freq(index: CorpusIndex, percent: int) -> Lexicon:
-    """Top n% of words by corpus-wide frequency."""
-    return frozenset(top_fraction(index.collection_freq.items(), percent))
-
-
-def extract_document_freq(index: CorpusIndex, percent: int) -> Lexicon:
-    """Union over documents of each document's top n% words by frequency."""
-    selected: set[str] = set()
-    for doc_freq in index.per_document.values():
-        selected |= top_fraction(doc_freq.items(), percent)
-    return frozenset(selected)
-
-
-def extract_tfidf(index: CorpusIndex, percent: int) -> Lexicon:
-    """Union over documents of each document's top n% words by tf.idf."""
-    selected: set[str] = set()
-    for document_id in index.per_document:
-        selected |= top_fraction(_doc_scores(index, document_id), percent)
-    return frozenset(selected)
-
-
-def extract_interdoc_freq(index: CorpusIndex, min_docs: int) -> Lexicon:
-    """Words occurring in at least min_docs documents."""
-    if min_docs < 1:
-        raise ValueError(f"min_docs must be >= 1, got {min_docs}")
-    return frozenset(
-        word for word, count in index.doc_counts.items() if count >= min_docs
-    )
+def _ranking(index: CorpusIndex, kind: Measure) -> tuple[list[int], list[str]]:
+    """ends[t], how many of a percent measure's words enter at or below t,
+    and the words in order of entry threshold."""
+    entries: dict[str, int] = {}
+    if kind is Measure.COLLECTION_FREQ:
+        _enter(entries, index.collection_freq.items())
+    elif kind is Measure.DOCUMENT_FREQ:
+        for doc_freq in index.per_document.values():
+            _enter(entries, doc_freq.items())
+    else:
+        n, doc_counts = index.n_documents, index.doc_counts
+        for doc_freq in index.per_document.values():
+            _enter(entries, [(w, tf * math.log(n / doc_counts[w])) for w, tf in doc_freq.items()])
+    sizes = Counter(entries.values())
+    ends = list(accumulate((sizes[t] for t in range(1, 101)), initial=0))
+    return ends, sorted(entries, key=entries.__getitem__)
 
 
 def extract(index: CorpusIndex, spec: MeasureSpec) -> Lexicon:
-    """Run the extraction selected by a MeasureSpec."""
-    if spec.kind is Measure.COLLECTION_FREQ:
-        return extract_collection_freq(index, spec.threshold)
-    if spec.kind is Measure.DOCUMENT_FREQ:
-        return extract_document_freq(index, spec.threshold)
-    if spec.kind is Measure.TFIDF:
-        return extract_tfidf(index, spec.threshold)
-    return extract_interdoc_freq(index, spec.threshold)
-
-
-# ---------------------------------------------------------------------------
-# Brute-force oracle
-# ---------------------------------------------------------------------------
-
-def _oracle_top(counts: dict[str, float], percent: int) -> set[str]:
-    order = sorted(counts, key=lambda word: (-counts[word], word))
-    keep = math.ceil(Fraction(percent, 100) * len(order))
-    return set(order[:keep])
-
-
-def oracle_extract(corpus: Corpus, config: FilterConfig, spec: MeasureSpec) -> Lexicon:
-    """Reference extraction recomputed from raw tokens, for property tests.
-
-    Shares only `normalize` with the fast path: counting, df lookups,
-    scoring, and the top-n% cut (exact rational arithmetic) are all
-    reimplemented here.  Meant for small corpora, roughly up to 50
-    documents and 500 distinct words.
-    """
-    doc_keys: list[list[str]] = []
-    for document in corpus.documents:
-        keys = []
-        for sentence in document.sentences:
-            for token in sentence.tokens:
-                key = normalize(token, config)
-                if key is not None:
-                    keys.append(key)
-        doc_keys.append(keys)
-    n_docs = len(doc_keys)
-
-    if spec.kind is Measure.COLLECTION_FREQ:
-        totals: dict[str, float] = {}
-        for keys in doc_keys:
-            for key in keys:
-                totals[key] = totals.get(key, 0) + 1
-        return frozenset(_oracle_top(totals, spec.threshold))
-
-    if spec.kind is Measure.DOCUMENT_FREQ:
-        union: set[str] = set()
-        for keys in doc_keys:
-            counts: dict[str, float] = {}
-            for key in keys:
-                counts[key] = counts.get(key, 0) + 1
-            union |= _oracle_top(counts, spec.threshold)
-        return frozenset(union)
-
-    if spec.kind is Measure.TFIDF:
-        doc_sets = [set(keys) for keys in doc_keys]
-        union = set()
-        for keys in doc_keys:
-            tf: dict[str, int] = {}
-            for key in keys:
-                tf[key] = tf.get(key, 0) + 1
-            scores = {}
-            for word, count in tf.items():
-                df = sum(1 for members in doc_sets if word in members)
-                scores[word] = count * math.log(n_docs / df)
-            union |= _oracle_top(scores, spec.threshold)
-        return frozenset(union)
-
-    # INTERDOC_FREQ: keep words present in at least `threshold` documents.
-    doc_sets = [set(keys) for keys in doc_keys]
-    vocabulary = set().union(*doc_sets) if doc_sets else set()
-    return frozenset(
-        word
-        for word in vocabulary
-        if sum(1 for members in doc_sets if word in members) >= spec.threshold
-    )
+    """The words a measure keeps at a threshold: a prefix of its ranking,
+    or for INTERDOC_FREQ the words whose document count reaches it."""
+    if spec.kind is Measure.INTERDOC_FREQ:
+        return frozenset(w for w, count in index.doc_counts.items() if count >= spec.threshold)
+    ranking = index.rankings.get(spec.kind)
+    if ranking is None:
+        ranking = index.rankings[spec.kind] = _ranking(index, spec.kind)
+    ends, words = ranking
+    return frozenset(words[: ends[spec.threshold]])

@@ -113,11 +113,11 @@ def render_svg(result: SweepResult, sink: IO[bytes]) -> None:
     """Render a sweep as a self-contained SVG line chart.
 
     X axis is the threshold, Y axis is [0, 1]; one polyline per metric
-    plus a dashed vertical marker at the best-F threshold.  Requires at
-    least two rows.
+    plus a dashed vertical marker at the best-F threshold.  A single-row
+    sweep is drawn as one dot per metric in the middle of the axis.
     """
-    if len(result.rows) < 2:
-        raise ValueError(f"need at least 2 rows to plot, got {len(result.rows)}")
+    if not result.rows:
+        raise ValueError("need at least 1 row to plot")
 
     plot_left = _MARGIN_LEFT
     plot_right = _WIDTH - _MARGIN_RIGHT
@@ -130,6 +130,8 @@ def render_svg(result: SweepResult, sink: IO[bytes]) -> None:
     t_max = result.rows[-1].threshold
 
     def x_px(threshold: int) -> float:
+        if t_min == t_max:
+            return plot_left + plot_width / 2
         return plot_left + (threshold - t_min) / (t_max - t_min) * plot_width
 
     def y_px(value: float) -> float:
@@ -205,6 +207,10 @@ def render_svg(result: SweepResult, sink: IO[bytes]) -> None:
         lines.append(
             f'<polyline fill="none" stroke="{color}" stroke-width="2" points="{points}"/>'
         )
+        if t_min == t_max:
+            # a one-point polyline draws nothing, so mark the point itself
+            x, y = points.split(",")
+            lines.append(f'<circle cx="{x}" cy="{y}" r="4" fill="{color}"/>')
         ly = legend_y + i * 22
         lines.append(
             f'<line x1="{legend_x}" y1="{ly}" x2="{legend_x + 24}" y2="{ly}" '

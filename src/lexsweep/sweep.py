@@ -9,6 +9,7 @@ F-measure among rows whose fallout stays under a configurable cap.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from typing import Iterable
 
 from .corpus import Corpus
 from .evaluation import MetricsRow, evaluate
@@ -66,6 +67,19 @@ def _sweep_index(
     )
 
 
+def _run(
+    corpus: Corpus, config: FilterConfig, kinds: Iterable[Measure], fallout_cap: float
+) -> list[SweepResult]:
+    """Validate, index and build gold once, then sweep each of kinds."""
+    if not 0.0 <= fallout_cap <= 1.0:
+        raise ValueError(f"fallout cap must be in [0, 1], got {fallout_cap}")
+    index = build_index(corpus, config)
+    if not index.words:
+        raise ValueError("no content vocabulary")
+    gold = build_gold(corpus, config)
+    return [_sweep_index(index, gold, kind, fallout_cap) for kind in kinds]
+
+
 def run_sweep(
     corpus: Corpus,
     config: FilterConfig,
@@ -73,13 +87,7 @@ def run_sweep(
     fallout_cap: float = DEFAULT_FALLOUT_CAP,
 ) -> SweepResult:
     """Sweep one measure across its full threshold range on a corpus."""
-    if not 0.0 <= fallout_cap <= 1.0:
-        raise ValueError(f"fallout cap must be in [0, 1], got {fallout_cap}")
-    index = build_index(corpus, config)
-    if not index.words:
-        raise ValueError("no content vocabulary")
-    gold = build_gold(corpus, config)
-    return _sweep_index(index, gold, kind, fallout_cap)
+    return _run(corpus, config, (kind,), fallout_cap)[0]
 
 
 def run_all_sweeps(
@@ -88,10 +96,4 @@ def run_all_sweeps(
     fallout_cap: float = DEFAULT_FALLOUT_CAP,
 ) -> list[SweepResult]:
     """Sweep all four measures over a shared index, in Measure order."""
-    if not 0.0 <= fallout_cap <= 1.0:
-        raise ValueError(f"fallout cap must be in [0, 1], got {fallout_cap}")
-    index = build_index(corpus, config)
-    if not index.words:
-        raise ValueError("no content vocabulary")
-    gold = build_gold(corpus, config)
-    return [_sweep_index(index, gold, kind, fallout_cap) for kind in Measure]
+    return _run(corpus, config, Measure, fallout_cap)

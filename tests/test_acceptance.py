@@ -24,13 +24,13 @@ from lexsweep import (
     evaluate,
     extract,
     f_measure,
-    oracle_extract,
     run_all_sweeps,
     write_report_bundle,
 )
 from lexsweep.cli import main
 
 from gencorpus import seeded_corpora, with_all_annotated, without_sentence
+from oracle import oracle_extract
 
 CONFIG = FilterConfig()
 
@@ -237,3 +237,44 @@ def test_scale_check(tmp_path):
     elapsed = time.perf_counter() - start
     assert elapsed < 10.0, f"sweep took {elapsed:.1f} s"
     assert len(results) == 4
+
+
+# SHA-256 of every bundle file, recorded before the extraction path was
+# rewritten around a per-measure ranking; any change to these bytes is a
+# change in behaviour.
+GOLDEN_BUNDLES = {
+    "fixture": {
+        "cf.csv": "46a036561e1ca5aaee58a97dc6387d5a987b6ca09563576365ff47c91ef313d2",
+        "cf.svg": "4cb772960d4fa775438c73ce159d5963d337e05e9518edd67f5397c589c5cd4e",
+        "df.csv": "92434f33ab8237bc1411f1dfef76a8413c7470fb6ae7f4f09baccacc8549bcaf",
+        "df.svg": "442459aa35b58d1894beebdf74a25fe134210c4112538c670c1f1d03b720e909",
+        "idf.csv": "581f8361f48e8c69c067a9d748b12e8e50dec34321de9e09b2d19ef5e5f11f9f",
+        "idf.svg": "e9480f26a10714f610d9b4a107fcd03252cb0f91e3d31b53b663f815e1f1e35f",
+        "summary.csv": "5e0303e84a5f3b8e7aea04977c61b387ae895807f156cb1f9d7b4128956f8c50",
+        "tfidf.csv": "56160f2079c9a7e1b3d5ee2256ed7c1c87afe7b5f65a7048aa208b822eece020",
+        "tfidf.svg": "32f927a9d00b3b1235cd4dfbb70dd5b951cd438de588575ff4c496c12b85c589",
+    },
+    "large": {
+        "cf.csv": "6693a82b35877043a6fde87472bbe201fcf497e2f7c497a2527df8a0af2bdf55",
+        "cf.svg": "a3751efdab5d05407563bdf2c600eda8c7be5526cdde47cb18a9f83bd83e4cf0",
+        "df.csv": "8de33666047a096c60c214a05c72b3c76952247b54ed9d6473c06e60df4624d9",
+        "df.svg": "c9325df608c3a7d2e6d431834c308f16bd090e797dd5bb6bd3deceb43a524956",
+        "idf.csv": "3cd6e039bbb7f6feb4b44f14c93e0584d158672f740e0ee944661f95036e8508",
+        "idf.svg": "d53127bd1e80f258a34022222ce56cb90252d555bc9a69b91959dc17c628cd00",
+        "summary.csv": "79a60fb5ede15788880b00c1fb9ac61c79b439f95ade0d6d289ef441db8df58d",
+        "tfidf.csv": "faad10005d490feec28d517bf6da7b987afcff2788c3f3aeb283449cc6536b5c",
+        "tfidf.svg": "3f1e82ada14319ad9f080e7a80ac43882c856313f0aed6e7703bc903dcdda6e9",
+    },
+}
+
+
+@criterion("golden bundles: fixture and large-corpus reports match their recorded SHA-256 digests")
+@pytest.mark.parametrize("name", sorted(GOLDEN_BUNDLES))
+def test_golden_bundle(name, fixture_corpus, tmp_path):
+    corpus = fixture_corpus if name == "fixture" else build_large_corpus()
+    write_report_bundle(run_all_sweeps(corpus, CONFIG), tmp_path)
+    digests = {
+        path.name: hashlib.sha256(path.read_bytes()).hexdigest()
+        for path in tmp_path.iterdir()
+    }
+    assert digests == GOLDEN_BUNDLES[name]

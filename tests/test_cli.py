@@ -72,6 +72,14 @@ class TestValidate:
         assert main(["validate", "--corpus", str(path)]) == 2
         assert "malformed JSON" in capsys.readouterr().err
 
+    def test_deeply_nested_json(self, tmp_path, capsys):
+        path = tmp_path / "deep.json"
+        path.write_text('{"documents": ' + "[" * 100_000, encoding="utf-8")
+        assert main(["validate", "--corpus", str(path)]) == 2
+        err = capsys.readouterr().err
+        assert "too deep" in err
+        assert "Traceback" not in err
+
     def test_unknown_field_warns_on_stderr(self, tmp_path, capsys):
         data = {
             "name": "odd",
@@ -273,6 +281,34 @@ class TestSweep:
         args = ["sweep", *corpus_arg, "--out", str(blocker / "sub")]
         assert main(args) == 1
         assert "error:" in capsys.readouterr().err
+
+    def test_one_document_corpus(self, tmp_path, capsys):
+        tokens = [{"surface": "attacked", "lemma": "attack", "pos": "VERB"}]
+        data = {
+            "name": "single",
+            "documents": [
+                {
+                    "id": "d1",
+                    "sentences": [
+                        {"id": "s1", "annotated": True, "tokens": tokens},
+                        {
+                            "id": "s2",
+                            "annotated": False,
+                            "tokens": [{"surface": "storm", "pos": "NOUN"}],
+                        },
+                    ],
+                }
+            ],
+        }
+        path = write_json(tmp_path / "single.json", data)
+        out_dir = tmp_path / "report"
+        assert main(["sweep", "--corpus", path, "--out", str(out_dir)]) == 0
+        assert len(list(out_dir.iterdir())) == 9
+        assert (out_dir / "idf.csv").read_text(encoding="utf-8").splitlines()[1:] == [
+            "idf,1,0.5000,1.0000,0.6667,1.0000,2,1,2,1"
+        ]
+        assert "<circle" in (out_dir / "idf.svg").read_text(encoding="utf-8")
+        assert "report written to" in capsys.readouterr().out
 
     def test_no_content_vocabulary(self, tmp_path, capsys):
         data = {

@@ -63,6 +63,12 @@ class TestParse:
         with pytest.raises(CorpusParseError, match=r"line 1, column"):
             parse_corpus('{"name": ')
 
+    def test_deep_nesting_is_a_parse_error(self):
+        depth = 100_000
+        text = '{"documents": ' + "[" * depth + "]" * depth + "}"
+        with pytest.raises(CorpusParseError, match="too deep"):
+            parse_corpus(text)
+
     def test_invalid_utf8(self):
         with pytest.raises(CorpusParseError, match="UTF-8"):
             parse_corpus(b'{"name": "\xff"}')

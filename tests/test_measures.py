@@ -1,26 +1,29 @@
 import math
+import random
+from collections import Counter
+from fractions import Fraction
 
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from lexsweep import (
+    CorpusIndex,
     FilterConfig,
     Measure,
     MeasureSpec,
     build_index,
     build_universe,
-    document_tfidf_scores,
     extract,
-    extract_collection_freq,
-    extract_document_freq,
-    extract_interdoc_freq,
-    extract_tfidf,
-    oracle_extract,
-    top_fraction,
 )
 
-from gencorpus import corpora
+from gencorpus import build_random_corpus, corpora
+from oracle import oracle_extract
+
+CF = Measure.COLLECTION_FREQ
+DF = Measure.DOCUMENT_FREQ
+TFIDF = Measure.TFIDF
+IDF = Measure.INTERDOC_FREQ
 
 
 @pytest.fixture(scope="module")
@@ -28,116 +31,147 @@ def fixture_index(fixture_corpus, config):
     return build_index(fixture_corpus, config)
 
 
+def make_index(*documents: dict[str, int]) -> CorpusIndex:
+    """A CorpusIndex built by hand from per-document word counts."""
+    collection: Counter[str] = Counter()
+    doc_counts: Counter[str] = Counter()
+    for doc_freq in documents:
+        collection.update(doc_freq)
+        doc_counts.update(doc_freq.keys())
+    return CorpusIndex(
+        collection_freq=dict(collection),
+        per_document={f"d{i}": dict(doc_freq) for i, doc_freq in enumerate(documents)},
+        doc_counts=dict(doc_counts),
+        n_documents=len(documents),
+    )
+
+
+def at(index: CorpusIndex, kind: Measure, threshold: int) -> frozenset[str]:
+    return extract(index, MeasureSpec(kind, threshold))
+
+
 class TestTopFraction:
+    """The top n% cut of one ranked list, seen through extract."""
+
     def test_half_of_four(self):
-        scored = [("attack", 3.0), ("hostage", 3.0), ("negotiate", 2.0), ("police", 1.0)]
-        assert top_fraction(scored, 50) == {"attack", "hostage"}
+        index = make_index({"attack": 3, "hostage": 3, "negotiate": 2, "police": 1})
+        assert at(index, CF, 50) == {"attack", "hostage"}
 
     def test_hundred_percent_keeps_all(self):
-        scored = [("a", 1.0), ("b", 2.0)]
-        assert top_fraction(scored, 100) == {"a", "b"}
+        index = make_index({"a": 1, "b": 2}, {"c": 1})
+        for kind in (CF, DF, TFIDF):
+            assert at(index, kind, 100) == {"a", "b", "c"}
 
     def test_tie_broken_by_word(self):
-        assert top_fraction([("b", 2.0), ("a", 2.0)], 50) == {"a"}
+        index = make_index({"b": 2, "a": 2})
+        assert at(index, CF, 50) == {"a"}
+        assert at(index, DF, 50) == {"a"}
+        # one document: every tf.idf score is 0, so the word alone decides
+        assert at(index, TFIDF, 50) == {"a"}
 
     def test_cut_rounds_up(self):
-        scored = [("a", 3.0), ("b", 2.0), ("c", 1.0)]
-        assert top_fraction(scored, 34) == {"a", "b"}
-        assert top_fraction(scored, 1) == {"a"}
+        index = make_index({"a": 3, "b": 2, "c": 1})
+        assert at(index, CF, 34) == {"a", "b"}
+        assert at(index, CF, 33) == {"a"}
+        assert at(index, CF, 1) == {"a"}
 
     def test_empty_input(self):
-        assert top_fraction([], 50) == set()
+        index = make_index({})
+        for kind in Measure:
+            assert at(index, kind, 50 if kind.is_percent else 1) == frozenset()
+
+    def test_empty_document_selects_nothing(self):
+        index = make_index({"a": 1, "b": 1}, {})
+        assert at(index, DF, 50) == {"a"}
 
     def test_input_order_irrelevant(self):
-        scored = [("c", 1.0), ("a", 3.0), ("b", 2.0)]
-        assert top_fraction(scored, 67) == top_fraction(list(reversed(scored)), 67)
+        forward = make_index({"c": 1, "a": 3, "b": 2}, {"b": 1, "d": 2})
+        backward = make_index({"d": 2, "b": 1}, {"b": 2, "a": 3, "c": 1})
+        for kind in Measure:
+            for threshold in (range(1, 101) if kind.is_percent else range(1, 4)):
+                assert at(forward, kind, threshold) == at(backward, kind, threshold)
 
     @pytest.mark.parametrize("percent", [0, 101, -5])
     def test_percent_out_of_range(self, percent):
+        # MeasureSpec is the one place thresholds are checked
         with pytest.raises(ValueError, match="percent"):
-            top_fraction([("a", 1.0)], percent)
+            extract(make_index({"a": 1}), MeasureSpec(CF, percent))
 
     @given(
-        scores=st.dictionaries(
-            st.text(min_size=1, max_size=4), st.integers(0, 50), max_size=20
+        counts=st.dictionaries(
+            st.text(min_size=1, max_size=4), st.integers(1, 50), max_size=20
         ),
         percent=st.integers(1, 100),
     )
-    def test_cut_size_exact(self, scores, percent):
-        from fractions import Fraction
-
-        scored = [(word, float(freq)) for word, freq in scores.items()]
-        kept = top_fraction(scored, percent)
-        assert len(kept) == math.ceil(Fraction(percent, 100) * len(scored))
+    def test_cut_size_exact(self, counts, percent):
+        # in a one-document index every percent measure ranks one list
+        index = make_index(counts)
+        size = math.ceil(Fraction(percent, 100) * len(counts))
+        for kind in (CF, DF, TFIDF):
+            assert len(at(index, kind, percent)) == size
 
 
 class TestMeasures:
     def test_collection_freq_fixture(self, fixture_index):
-        assert extract_collection_freq(fixture_index, 50) == {"attack", "hostage"}
-        assert extract_collection_freq(fixture_index, 1) == {"attack"}
-        assert extract_collection_freq(fixture_index, 100) == fixture_index.words
+        assert at(fixture_index, CF, 50) == {"attack", "hostage"}
+        assert at(fixture_index, CF, 1) == {"attack"}
+        assert at(fixture_index, CF, 100) == fixture_index.words
 
     def test_document_freq_fixture(self, fixture_index):
-        assert extract_document_freq(fixture_index, 50) == {
-            "attack",
-            "hostage",
-            "negotiate",
-        }
-        assert extract_document_freq(fixture_index, 100) == fixture_index.words
+        assert at(fixture_index, DF, 50) == {"attack", "hostage", "negotiate"}
+        assert at(fixture_index, DF, 100) == fixture_index.words
 
     def test_tfidf_fixture(self, fixture_index):
-        assert extract_tfidf(fixture_index, 25) == {"attack", "negotiate"}
-        assert extract_tfidf(fixture_index, 100) == fixture_index.words
+        assert at(fixture_index, TFIDF, 25) == {"attack", "negotiate"}
+        assert at(fixture_index, TFIDF, 100) == fixture_index.words
 
     def test_tfidf_scores_fixture(self, fixture_index):
-        scores = {s.word: s.score for s in document_tfidf_scores(fixture_index, "d1")}
-        assert scores["attack"] == pytest.approx(3 * math.log(2))
-        assert scores["hostage"] == 0.0
-        assert scores["police"] == pytest.approx(math.log(2))
+        # d1 scores attack 3 ln 2, police ln 2 and hostage 0 (it is in both
+        # documents), so d1 adds police at 34% and hostage only at 67%;
+        # d2 scores negotiate 2 ln 2 and hostage 0, adding hostage at 51%.
+        assert at(fixture_index, TFIDF, 34) == {"attack", "negotiate", "police"}
+        assert at(fixture_index, TFIDF, 50) == {"attack", "negotiate", "police"}
+        assert at(fixture_index, TFIDF, 51) == fixture_index.words
 
-    def test_tfidf_zero_iff_word_everywhere(self, fixture_index):
-        for doc_id in fixture_index.per_document:
-            for s in document_tfidf_scores(fixture_index, doc_id):
-                everywhere = fixture_index.doc_counts[s.word] == fixture_index.n_documents
-                assert (s.score == 0.0) == everywhere
+    def test_tfidf_zero_iff_word_everywhere(self):
+        # "common" is the most frequent word of each document, but it is in
+        # every document, so it scores 0 and ranks below every other word
+        index = make_index({"common": 5, "rare": 1}, {"common": 5, "other": 1})
+        assert at(index, DF, 50) == {"common"}
+        assert at(index, TFIDF, 50) == {"rare", "other"}
+        assert at(index, TFIDF, 51) == {"common", "rare", "other"}
 
     def test_interdoc_freq_fixture(self, fixture_index):
-        assert extract_interdoc_freq(fixture_index, 2) == {"hostage"}
-        assert extract_interdoc_freq(fixture_index, 1) == fixture_index.words
-        assert extract_interdoc_freq(fixture_index, 3) == frozenset()
+        assert at(fixture_index, IDF, 2) == {"hostage"}
+        assert at(fixture_index, IDF, 1) == fixture_index.words
+        assert at(fixture_index, IDF, 3) == frozenset()
 
-    def test_interdoc_freq_invalid(self, fixture_index):
-        with pytest.raises(ValueError, match="min_docs"):
-            extract_interdoc_freq(fixture_index, 0)
-
-    def test_dispatch_matches_direct_calls(self, fixture_index):
-        assert extract(fixture_index, MeasureSpec(Measure.COLLECTION_FREQ, 50)) == {
-            "attack",
-            "hostage",
-        }
-        assert extract(fixture_index, MeasureSpec(Measure.INTERDOC_FREQ, 2)) == {"hostage"}
+    def test_interdoc_freq_invalid(self):
+        with pytest.raises(ValueError, match="document count"):
+            extract(make_index({"a": 1}), MeasureSpec(IDF, 0))
 
     def test_single_document_df_equals_cf(self, config):
-        import random
-
-        from gencorpus import build_random_corpus
-
         for seed in range(5):
             corpus = build_random_corpus(random.Random(seed), max_docs=1)
             index = build_index(corpus, config)
             for percent in (1, 25, 50, 75, 100):
-                assert extract_document_freq(index, percent) == extract_collection_freq(
-                    index, percent
-                )
+                assert at(index, DF, percent) == at(index, CF, percent)
 
     def test_repeat_calls_identical(self, fixture_index):
         for spec in (
-            MeasureSpec(Measure.COLLECTION_FREQ, 37),
-            MeasureSpec(Measure.DOCUMENT_FREQ, 37),
-            MeasureSpec(Measure.TFIDF, 37),
-            MeasureSpec(Measure.INTERDOC_FREQ, 1),
+            MeasureSpec(CF, 37),
+            MeasureSpec(DF, 37),
+            MeasureSpec(TFIDF, 37),
+            MeasureSpec(IDF, 1),
         ):
             assert extract(fixture_index, spec) == extract(fixture_index, spec)
+
+    def test_ranking_cached_without_changing_the_index(self, fixture_corpus, config):
+        index = build_index(fixture_corpus, config)
+        for kind in Measure:
+            at(index, kind, 1)
+        assert set(index.rankings) == {CF, DF, TFIDF}
+        assert index == build_index(fixture_corpus, config)
 
 
 class TestMeasureSpec:

@@ -178,17 +178,27 @@ class TestSvg:
             ys = {pair.split(",")[1] for pair in polyline.get("points").split()}
             assert len(ys) == 1
 
-    def test_single_row_rejected(self):
-        row = make_row(1)
+    def test_single_row_renders(self):
+        row = make_row(3)
         result = SweepResult(
-            measure=Measure.COLLECTION_FREQ,
+            measure=Measure.INTERDOC_FREQ,
             rows=(row,),
             best_f=row,
             best_f_under_cap=None,
             fallout_cap=0.1,
         )
-        with pytest.raises(ValueError, match="at least 2 rows"):
-            render_svg(result, io.BytesIO())
+        text = svg_text(result)
+        root = ET.fromstring(text)
+        ns = "{http://www.w3.org/2000/svg}"
+        centre = f"{70 + (960 - 70 - 190) / 2:.2f}"
+        polylines = list(root.iter(f"{ns}polyline"))
+        circles = list(root.iter(f"{ns}circle"))
+        assert len(polylines) == len(circles) == 4
+        for polyline, circle in zip(polylines, circles):
+            assert polyline.get("points") == f"{circle.get('cx')},{circle.get('cy')}"
+            assert circle.get("cx") == centre
+        assert "best F @ 3" in text
+        assert ">3</text>" in text  # the one x tick
 
 
 class TestBundle:

@@ -12,11 +12,12 @@ from lexsweep import (
     build_index,
     build_universe,
     evaluate,
-    oracle_extract,
     run_all_sweeps,
     run_sweep,
     threshold_range,
 )
+
+from oracle import oracle_extract
 
 
 class TestThresholdRange:
