@@ -225,8 +225,6 @@ def _cmd_evaluate(args, subparser) -> int:
 
 
 def _cmd_sweep(args, subparser) -> int:
-    if not 0.0 <= args.fallout_cap <= 1.0:
-        return _usage_error(subparser, f"fallout cap must be in [0, 1], got {args.fallout_cap}")
     corpus = load_corpus(args.corpus)
     results = run_all_sweeps(corpus, _filter_config(args), fallout_cap=args.fallout_cap)
     write_report_bundle(results, args.out)

@@ -3,10 +3,15 @@
 A corpus arrives pre-tokenized, pre-lemmatized and pre-POS-tagged as UTF-8
 JSON; this module parses and validates it into an immutable object tree.
 No linguistic analysis happens here.
+
+Within one parsed corpus, raw tokens with the same surface, POS and lemma
+values share one immutable Token object, so each distinct token is
+checked once and later passes can work per distinct token.
 """
 
 from __future__ import annotations
 
+import gc
 import json
 import warnings
 from dataclasses import dataclass
@@ -133,6 +138,19 @@ def _require(obj: dict, field: str, kind: type, where: str) -> Any:
         raise CorpusValidationError(
             f"field {field!r} in {where} must be {kind.__name__}, got {type(value).__name__}"
         )
+    if kind is str:
+        _check_utf8(value, field, where)
+    return value
+
+
+def _check_utf8(value: str, field: str, where: str) -> str:
+    """Reject strings that cannot be written as UTF-8 (lone surrogates from JSON escapes)."""
+    try:
+        value.encode("utf-8")
+    except UnicodeEncodeError:
+        raise CorpusValidationError(
+            f"field {field!r} in {where} contains a lone surrogate"
+        ) from None
     return value
 
 
@@ -146,7 +164,7 @@ def _parse_token(obj: Any, where: str) -> Token:
     if lemma is not None and not isinstance(lemma, str):
         raise CorpusValidationError(f"field 'lemma' in {where} must be a string")
     if lemma is not None:
-        lemma = lemma.strip() or None
+        lemma = _check_utf8(lemma, "lemma", where).strip() or None
     if not surface:
         raise CorpusValidationError(f"empty token surface in {where}")
     if not pos:
@@ -154,7 +172,31 @@ def _parse_token(obj: Any, where: str) -> Token:
     return Token(surface=surface, pos=pos, lemma=lemma)
 
 
-def _parse_sentence(obj: Any, where: str) -> Sentence:
+def _parse_tokens(raw_tokens: list, here: str, seen: dict[tuple, Token]) -> tuple[Token, ...]:
+    """Parse a sentence's tokens, sharing one Token per (surface, pos, lemma) in seen.
+
+    Only a token dict with known fields alone is looked up; the first
+    sighting of its values, and every other token, goes through the full
+    checks of _parse_token with its own location.
+    """
+    tokens = []
+    for i, raw in enumerate(raw_tokens):
+        token = values = None
+        if type(raw) is dict and raw.keys() <= _TOKEN_FIELDS:
+            values = (raw.get("surface"), raw.get("pos"), raw.get("lemma"))
+            try:
+                token = seen.get(values)
+            except TypeError:  # an unhashable value, which _parse_token rejects
+                values = None
+        if token is None:
+            token = _parse_token(raw, f"{here}, token {i}")
+            if values is not None:
+                seen[values] = token
+        tokens.append(token)
+    return tuple(tokens)
+
+
+def _parse_sentence(obj: Any, where: str, seen: dict[tuple, Token]) -> Sentence:
     if not isinstance(obj, dict):
         raise CorpusValidationError(f"sentence in {where} must be an object")
     sent_id = _require(obj, "id", str, where)
@@ -164,23 +206,23 @@ def _parse_sentence(obj: Any, where: str) -> Sentence:
     message_type = obj.get("message_type")
     if message_type is not None and not isinstance(message_type, str):
         raise CorpusValidationError(f"field 'message_type' in {here} must be a string")
+    if message_type is not None:
+        _check_utf8(message_type, "message_type", here)
     raw_tokens = _require(obj, "tokens", list, here)
     if not raw_tokens:
         warnings.warn(f"empty sentence {sent_id!r} in {where}", CorpusWarning, stacklevel=3)
-    tokens = tuple(
-        _parse_token(tok, f"{here}, token {i}") for i, tok in enumerate(raw_tokens)
-    )
+    tokens = _parse_tokens(raw_tokens, here, seen)
     return Sentence(id=sent_id, annotated=annotated, tokens=tokens, message_type=message_type)
 
 
-def _parse_document(obj: Any, where: str) -> Document:
+def _parse_document(obj: Any, where: str, seen: dict[tuple, Token]) -> Document:
     if not isinstance(obj, dict):
         raise CorpusValidationError(f"document in {where} must be an object")
     doc_id = _require(obj, "id", str, where)
     here = f"document {doc_id!r}"
     _warn_unknown_fields(obj, _DOCUMENT_FIELDS, here)
     raw_sentences = _require(obj, "sentences", list, here)
-    sentences = tuple(_parse_sentence(s, here) for s in raw_sentences)
+    sentences = tuple(_parse_sentence(s, here, seen) for s in raw_sentences)
     return Document(id=doc_id, sentences=sentences)
 
 
@@ -188,8 +230,9 @@ def parse_corpus(source: Union[bytes, str, IO[bytes], IO[str]]) -> Corpus:
     """Parse and validate a corpus from JSON text, bytes, or an open stream.
 
     Raises CorpusParseError on malformed or too deeply nested JSON, and
-    CorpusValidationError on schema or invariant violations.  Unknown
-    fields and empty sentences produce CorpusWarning.
+    CorpusValidationError on schema or invariant violations (including
+    text fields with lone surrogates).  Unknown fields and empty sentences
+    produce CorpusWarning.
     """
     if hasattr(source, "read"):
         source = source.read()  # type: ignore[union-attr]
@@ -198,6 +241,18 @@ def parse_corpus(source: Union[bytes, str, IO[bytes], IO[str]]) -> Corpus:
             source = source.decode("utf-8")
         except UnicodeDecodeError as exc:
             raise CorpusParseError(f"corpus file is not valid UTF-8: {exc}") from exc
+    # The raw dicts and the tree hold no reference cycles, so the cyclic
+    # collector would only walk the millions of new objects again and again.
+    collector_was_on = gc.isenabled()
+    gc.disable()
+    try:
+        return _parse_json(source)
+    finally:
+        if collector_was_on:
+            gc.enable()
+
+
+def _parse_json(source: str) -> Corpus:
     try:
         data = json.loads(source)
     except json.JSONDecodeError as exc:
@@ -212,7 +267,10 @@ def parse_corpus(source: Union[bytes, str, IO[bytes], IO[str]]) -> Corpus:
     _warn_unknown_fields(data, _CORPUS_FIELDS, "corpus")
     name = _require(data, "name", str, "corpus")
     raw_documents = _require(data, "documents", list, "corpus")
-    documents = tuple(_parse_document(d, f"documents[{i}]") for i, d in enumerate(raw_documents))
+    seen: dict[tuple, Token] = {}
+    documents = tuple(
+        _parse_document(d, f"documents[{i}]", seen) for i, d in enumerate(raw_documents)
+    )
     return Corpus(name=name, documents=documents)
 
 

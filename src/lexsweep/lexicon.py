@@ -24,6 +24,8 @@ Lexicon = frozenset[str]
 
 DEFAULT_CONTENT_POS = frozenset({"VERB", "NOUN"})
 
+_UNSEEN = object()
+
 
 class WordKeySource(Enum):
     """Which token field becomes the word key."""
@@ -95,15 +97,27 @@ def normalize(token: Token, config: FilterConfig) -> str | None:
     return key
 
 
+def _word_keys(sentences, config: FilterConfig, memo: dict[int, str | None]) -> list[str]:
+    """The sentences' word keys in token order, filtered tokens left out.
+
+    memo maps id(token) to its key, so normalize runs once per distinct
+    Token object; the parser shares one Token among equal raw tokens.
+    """
+    keys = []
+    for sentence in sentences:
+        for token in sentence.tokens:
+            key = memo.get(id(token), _UNSEEN)
+            if key is _UNSEEN:
+                key = memo[id(token)] = normalize(token, config)
+            if key is not None:
+                keys.append(key)
+    return keys
+
+
 def build_universe(corpus: Corpus, config: FilterConfig) -> Lexicon:
     """All distinct content word keys across the corpus, annotated or not."""
-    words = set()
-    for _, sentence in corpus.sentences():
-        for token in sentence.tokens:
-            key = normalize(token, config)
-            if key is not None:
-                words.add(key)
-    return frozenset(words)
+    sentences = (sentence for _, sentence in corpus.sentences())
+    return frozenset(_word_keys(sentences, config, {}))
 
 
 def build_gold(corpus: Corpus, config: FilterConfig) -> Lexicon:
@@ -112,17 +126,11 @@ def build_gold(corpus: Corpus, config: FilterConfig) -> Lexicon:
     By construction a subset of build_universe's result.  Warns when the
     result is empty (no annotated sentences, or all their tokens filtered).
     """
-    words = set()
-    for _, sentence in corpus.sentences():
-        if not sentence.annotated:
-            continue
-        for token in sentence.tokens:
-            key = normalize(token, config)
-            if key is not None:
-                words.add(key)
+    annotated = (sentence for _, sentence in corpus.sentences() if sentence.annotated)
+    words = frozenset(_word_keys(annotated, config, {}))
     if not words:
         warnings.warn("gold lexicon is empty: no annotated content words", CorpusWarning)
-    return frozenset(words)
+    return words
 
 
 def build_index(corpus: Corpus, config: FilterConfig) -> CorpusIndex:
@@ -130,14 +138,10 @@ def build_index(corpus: Corpus, config: FilterConfig) -> CorpusIndex:
     collection: Counter[str] = Counter()
     per_document: dict[str, dict[str, int]] = {}
     doc_counts: Counter[str] = Counter()
+    memo: dict[int, str | None] = {}
 
     for document in corpus.documents:
-        doc_freq: Counter[str] = Counter()
-        for sentence in document.sentences:
-            for token in sentence.tokens:
-                key = normalize(token, config)
-                if key is not None:
-                    doc_freq[key] += 1
+        doc_freq = Counter(_word_keys(document.sentences, config, memo))
         collection.update(doc_freq)
         doc_counts.update(doc_freq.keys())
         per_document[document.id] = dict(doc_freq)

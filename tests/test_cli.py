@@ -105,6 +105,32 @@ class TestValidate:
         assert "'source'" in captured.err
 
 
+@pytest.mark.parametrize("command", ["validate", "gold"])
+def test_lone_surrogate_is_a_corpus_error(command, tmp_path, capsys):
+    data = {
+        "name": "odd",
+        "documents": [
+            {
+                "id": "d1",
+                "sentences": [
+                    {
+                        "id": "s1",
+                        "annotated": True,
+                        "tokens": [{"surface": "bad\ud800", "pos": "NOUN"}],
+                    }
+                ],
+            }
+        ],
+    }
+    path = write_json(tmp_path / "surrogate.json", data)
+    assert main([command, "--corpus", path]) == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err.startswith("error: ")
+    assert "usage:" not in captured.err
+    assert "field 'surface' in document 'd1', sentence 's1', token 0" in captured.err
+
+
 class TestStats:
     def test_text_output(self, corpus_arg, capsys):
         assert main(["stats", *corpus_arg]) == 0

@@ -1,5 +1,7 @@
+import gc
 import io
 import json
+import warnings
 
 import pytest
 from hypothesis import given
@@ -113,6 +115,147 @@ class TestParse:
         data["documents"][0]["sentences"][0]["tokens"][0]["lemma"] = "  "
         corpus = parse_corpus(json.dumps(data))
         assert corpus.documents[0].sentences[0].tokens[0].lemma is None
+
+
+def sentence_dict(sent_id: str, tokens: list) -> dict:
+    return {"id": sent_id, "annotated": False, "tokens": tokens}
+
+
+class TestTokenTable:
+    def test_equal_raw_tokens_share_one_token(self):
+        data = minimal_corpus_dict()
+        tokens = [{"surface": "run", "pos": "VERB"}, {"surface": "walk", "pos": "VERB"}]
+        data["documents"][0]["sentences"].append(sentence_dict("s2", tokens))
+        corpus = parse_corpus(json.dumps(data))
+        first, second = corpus.documents[0].sentences
+        assert second.tokens[0] is first.tokens[0]
+        assert second.tokens[1] is not first.tokens[0]
+
+    @given(corpus=corpora())
+    def test_matches_token_by_token_construction(self, corpus):
+        data = corpus_to_dict(corpus)
+        built = Corpus(
+            name=data["name"],
+            documents=tuple(
+                Document(
+                    id=doc["id"],
+                    sentences=tuple(
+                        Sentence(
+                            id=sent["id"],
+                            annotated=sent["annotated"],
+                            tokens=tuple(
+                                Token(tok["surface"], tok["pos"], tok.get("lemma"))
+                                for tok in sent["tokens"]
+                            ),
+                            message_type=sent.get("message_type"),
+                        )
+                        for sent in doc["sentences"]
+                    ),
+                )
+                for doc in data["documents"]
+            ),
+        )
+        parsed = parse_corpus(json.dumps(data))
+        assert parsed == built
+        tokens = [tok for _, sentence in parsed.sentences() for tok in sentence.tokens]
+        assert len({id(tok) for tok in tokens}) == len(set(tokens))
+
+    def test_unknown_field_warns_after_clean_duplicate(self):
+        data = minimal_corpus_dict()
+        data["documents"][0]["sentences"][0]["tokens"] += [
+            {"surface": "run", "pos": "VERB", "morph": "x"},
+            {"surface": "run", "pos": "VERB", "morph": "y"},
+        ]
+        with warnings.catch_warnings(record=True) as caught:
+            warnings.simplefilter("always")
+            corpus = parse_corpus(json.dumps(data))
+        messages = [str(w.message) for w in caught if issubclass(w.category, CorpusWarning)]
+        assert messages == [
+            "ignoring unknown field(s) 'morph' in document 'd1', sentence 's1', token 1",
+            "ignoring unknown field(s) 'morph' in document 'd1', sentence 's1', token 2",
+        ]
+        assert len(set(corpus.documents[0].sentences[0].tokens)) == 1
+
+    def test_invalid_token_after_duplicates_names_its_own_location(self):
+        data = minimal_corpus_dict()
+        valid = {"surface": "run", "pos": "VERB", "lemma": "run"}
+        data["documents"][0]["sentences"] = [
+            sentence_dict(f"s{i}", [dict(valid) for _ in range(50)]) for i in range(20)
+        ]
+        data["documents"][0]["sentences"][13]["tokens"][37] = {"surface": "run", "lemma": "run"}
+        with pytest.raises(CorpusValidationError) as raised:
+            parse_corpus(json.dumps(data))
+        assert str(raised.value) == "missing field 'pos' in document 'd1', sentence 's13', token 37"
+
+    def test_unhashable_token_value_rejected(self):
+        data = minimal_corpus_dict()
+        data["documents"][0]["sentences"][0]["tokens"].append({"surface": ["run"], "pos": "VERB"})
+        with pytest.raises(CorpusValidationError, match="'surface' in .*token 1 must be str"):
+            parse_corpus(json.dumps(data))
+
+
+class TestLoneSurrogates:
+    @pytest.mark.parametrize(
+        "path, field, where",
+        [
+            (("documents", 0, "sentences", 0, "tokens", 0, "surface"), "surface",
+             "document 'd1', sentence 's1', token 0"),
+            (("documents", 0, "sentences", 0, "tokens", 0, "pos"), "pos",
+             "document 'd1', sentence 's1', token 0"),
+            (("documents", 0, "sentences", 0, "tokens", 0, "lemma"), "lemma",
+             "document 'd1', sentence 's1', token 0"),
+            (("documents", 0, "sentences", 0, "message_type"), "message_type",
+             "document 'd1', sentence 's1'"),
+            (("documents", 0, "sentences", 0, "id"), "id", "document 'd1'"),
+            (("documents", 0, "id"), "id", "documents[0]"),
+            (("name",), "name", "corpus"),
+        ],
+        ids=["surface", "pos", "lemma", "message_type", "sentence-id", "document-id", "name"],
+    )
+    def test_rejected_with_field_and_location(self, path, field, where):
+        data = minimal_corpus_dict()
+        data["documents"][0]["sentences"][0]["annotated"] = True
+        parent = data
+        for step in path[:-1]:
+            parent = parent[step]
+        parent[path[-1]] = "bad\ud800"
+        text = json.dumps(data)  # escapes the surrogate as \ud800
+        with pytest.raises(CorpusValidationError) as raised:
+            parse_corpus(text)
+        assert str(raised.value) == f"field {field!r} in {where} contains a lone surrogate"
+
+    def test_escaped_surrogate_pair_accepted(self):
+        text = json.dumps(minimal_corpus_dict(name="storm \N{CYCLONE}"))
+        assert "\\ud83c\\udf00" in text
+        assert parse_corpus(text).name == "storm \N{CYCLONE}"
+
+
+class TestCollectorState:
+    @pytest.fixture(params=[True, False], ids=["collector-on", "collector-off"])
+    def collector(self, request):
+        was_on = gc.isenabled()
+        (gc.enable if request.param else gc.disable)()
+        try:
+            yield request.param
+        finally:
+            (gc.enable if was_on else gc.disable)()
+
+    def test_restored_after_success(self, collector):
+        parse_corpus(json.dumps(minimal_corpus_dict()))
+        assert gc.isenabled() is collector
+
+    @pytest.mark.parametrize(
+        "text, error",
+        [
+            ('{"name": ', CorpusParseError),
+            (json.dumps({"name": "x", "documents": []}), CorpusValidationError),
+        ],
+        ids=["parse-error", "validation-error"],
+    )
+    def test_restored_after_error(self, collector, text, error):
+        with pytest.raises(error):
+            parse_corpus(text)
+        assert gc.isenabled() is collector
 
 
 class TestInvariants:
