@@ -18,7 +18,6 @@ from .lexicon import (
     DEFAULT_CONTENT_POS,
     FilterConfig,
     WordKeySource,
-    build_gold,
     build_index,
     format_lexicon,
     load_stopwords,
@@ -197,29 +196,26 @@ def _cmd_stats(args, subparser) -> int:
 
 def _cmd_gold(args, subparser) -> int:
     corpus = load_corpus(args.corpus)
-    gold = build_gold(corpus, _filter_config(args))
-    _write_words(gold, args.out)
+    _write_words(build_index(corpus, _filter_config(args)).gold, args.out)
     return 0
 
 
-def _extraction_point(args, subparser):
+def _extraction_point(args):
     corpus = load_corpus(args.corpus)
     config = _filter_config(args)
     spec = MeasureSpec(kind=Measure(args.measure), threshold=args.threshold)
-    index = build_index(corpus, config)
-    return corpus, config, index, spec
+    return build_index(corpus, config), spec
 
 
 def _cmd_extract(args, subparser) -> int:
-    _, _, index, spec = _extraction_point(args, subparser)
+    index, spec = _extraction_point(args)
     _write_words(extract(index, spec), args.out)
     return 0
 
 
 def _cmd_evaluate(args, subparser) -> int:
-    corpus, config, index, spec = _extraction_point(args, subparser)
-    gold = build_gold(corpus, config)
-    row = evaluate(extract(index, spec), gold, index.words, spec)
+    index, spec = _extraction_point(args)
+    row = evaluate(extract(index, spec), index.gold, index.words, spec)
     _print_metrics(row)
     return 0
 

@@ -44,9 +44,9 @@ class Token:
 
     def __post_init__(self) -> None:
         if not self.surface.strip():
-            raise CorpusValidationError("token surface must be non-empty")
+            raise CorpusValidationError("empty token surface")
         if not self.pos.strip():
-            raise CorpusValidationError("token pos must be non-empty")
+            raise CorpusValidationError("empty token pos")
 
 
 @dataclass(frozen=True)
@@ -165,11 +165,10 @@ def _parse_token(obj: Any, where: str) -> Token:
         raise CorpusValidationError(f"field 'lemma' in {where} must be a string")
     if lemma is not None:
         lemma = _check_utf8(lemma, "lemma", where).strip() or None
-    if not surface:
-        raise CorpusValidationError(f"empty token surface in {where}")
-    if not pos:
-        raise CorpusValidationError(f"empty token pos in {where}")
-    return Token(surface=surface, pos=pos, lemma=lemma)
+    try:
+        return Token(surface=surface, pos=pos, lemma=lemma)
+    except CorpusValidationError as exc:
+        raise CorpusValidationError(f"{exc} in {where}") from None
 
 
 def _parse_tokens(raw_tokens: list, here: str, seen: dict[tuple, Token]) -> tuple[Token, ...]:
@@ -317,9 +316,9 @@ def compute_stats(corpus: Corpus, config) -> CorpusStats:
     """Compute corpus-level statistics under a FilterConfig.
 
     Token and sentence counts are raw; the distinct-word counts apply the
-    configured stopword/POS filtering via the lexicon builders.
+    configured stopword/POS filtering, read from one lexicon.build_index.
     """
-    from .lexicon import build_gold, build_universe
+    from .lexicon import build_index
 
     n_tokens = 0
     n_sentences = 0
@@ -330,13 +329,12 @@ def compute_stats(corpus: Corpus, config) -> CorpusStats:
         if sentence.annotated:
             n_annotated += 1
 
-    universe = build_universe(corpus, config)
-    gold = build_gold(corpus, config)
+    index = build_index(corpus, config)
     return CorpusStats(
         n_documents=len(corpus.documents),
         n_tokens=n_tokens,
         n_sentences=n_sentences,
         n_annotated_sentences=n_annotated,
-        n_distinct_vn_corpus=len(universe),
-        n_distinct_vn_messages=len(gold),
+        n_distinct_vn_corpus=len(index.words),
+        n_distinct_vn_messages=len(index.gold),
     )

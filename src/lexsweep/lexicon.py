@@ -2,9 +2,10 @@
 
 Tokens are reduced to normalized word keys (lemma or surface, optionally
 case-folded), restricted to content POS tags, and filtered against a
-stopword list.  From those keys we build the full vocabulary (the
-universe), the gold vocabulary (keys seen in annotated sentences), and
-the frequency index the extraction measures consume.
+stopword list.  One pass over those keys, build_index, yields the
+frequency index the extraction measures consume; the index also carries
+the full vocabulary (the universe) and the gold vocabulary (keys seen in
+annotated sentences).
 """
 
 from __future__ import annotations
@@ -50,18 +51,23 @@ class FilterConfig:
 
 @dataclass(frozen=True)
 class CorpusIndex:
-    """Per-word frequencies computed over content, non-stopword tokens.
+    """Per-word frequencies and the gold lexicon, over content, non-stopword tokens.
 
     collection_freq counts tokens corpus-wide; per_document holds one
     word->count table per document (empty documents included, so the
     key set equals the corpus document ids); doc_counts is the number
-    of documents each word occurs in.
+    of documents each word occurs in.  words is the universe U and gold
+    the keys of annotated sentences, the gold lexicon M (a subset of U).
     """
 
     collection_freq: dict[str, int]
     per_document: dict[str, dict[str, int]]
     doc_counts: dict[str, int]
-    n_documents: int
+    gold: Lexicon
+
+    @property
+    def n_documents(self) -> int:
+        return len(self.per_document)
 
     @cached_property
     def words(self) -> Lexicon:
@@ -97,60 +103,53 @@ def normalize(token: Token, config: FilterConfig) -> str | None:
     return key
 
 
-def _word_keys(sentences, config: FilterConfig, memo: dict[int, str | None]) -> list[str]:
-    """The sentences' word keys in token order, filtered tokens left out.
-
-    memo maps id(token) to its key, so normalize runs once per distinct
-    Token object; the parser shares one Token among equal raw tokens.
-    """
-    keys = []
-    for sentence in sentences:
-        for token in sentence.tokens:
-            key = memo.get(id(token), _UNSEEN)
-            if key is _UNSEEN:
-                key = memo[id(token)] = normalize(token, config)
-            if key is not None:
-                keys.append(key)
-    return keys
-
-
 def build_universe(corpus: Corpus, config: FilterConfig) -> Lexicon:
-    """All distinct content word keys across the corpus, annotated or not."""
-    sentences = (sentence for _, sentence in corpus.sentences())
-    return frozenset(_word_keys(sentences, config, {}))
+    """All distinct content word keys across the corpus: build_index's words."""
+    return build_index(corpus, config).words
 
 
 def build_gold(corpus: Corpus, config: FilterConfig) -> Lexicon:
-    """Distinct content word keys occurring in annotated sentences.
-
-    By construction a subset of build_universe's result.  Warns when the
-    result is empty (no annotated sentences, or all their tokens filtered).
-    """
-    annotated = (sentence for _, sentence in corpus.sentences() if sentence.annotated)
-    words = frozenset(_word_keys(annotated, config, {}))
-    if not words:
-        warnings.warn("gold lexicon is empty: no annotated content words", CorpusWarning)
-    return words
+    """Distinct content word keys in annotated sentences: build_index's gold."""
+    return build_index(corpus, config).gold
 
 
 def build_index(corpus: Corpus, config: FilterConfig) -> CorpusIndex:
-    """Single pass over the corpus collecting all per-word frequencies."""
+    """Single pass over the corpus collecting all per-word frequencies and the gold lexicon.
+
+    normalize runs once per distinct Token object (the parser shares one
+    Token among equal raw tokens).  Warns when the gold lexicon is empty
+    (no annotated sentences, or all their tokens filtered).
+    """
     collection: Counter[str] = Counter()
     per_document: dict[str, dict[str, int]] = {}
     doc_counts: Counter[str] = Counter()
+    gold: set[str] = set()
     memo: dict[int, str | None] = {}
 
     for document in corpus.documents:
-        doc_freq = Counter(_word_keys(document.sentences, config, memo))
-        collection.update(doc_freq)
+        keys: list[str] = []
+        for sentence in document.sentences:
+            start = len(keys)
+            for token in sentence.tokens:
+                key = memo.get(id(token), _UNSEEN)
+                if key is _UNSEEN:
+                    key = memo[id(token)] = normalize(token, config)
+                if key is not None:
+                    keys.append(key)
+            if sentence.annotated:
+                gold.update(keys[start:])
+        doc_freq = Counter(keys)
+        collection.update(keys)
         doc_counts.update(doc_freq.keys())
         per_document[document.id] = dict(doc_freq)
 
+    if not gold:
+        warnings.warn("gold lexicon is empty: no annotated content words", CorpusWarning)
     return CorpusIndex(
         collection_freq=dict(collection),
         per_document=per_document,
         doc_counts=dict(doc_counts),
-        n_documents=len(corpus.documents),
+        gold=frozenset(gold),
     )
 
 

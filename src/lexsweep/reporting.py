@@ -10,6 +10,7 @@ from __future__ import annotations
 import csv
 import io
 from dataclasses import dataclass
+from itertools import chain, count
 from pathlib import Path
 from typing import IO, Iterable, Sequence
 
@@ -101,9 +102,11 @@ _MARGIN_BOTTOM = 70
 
 def _x_ticks(t_min: int, t_max: int) -> list[int]:
     span = t_max - t_min
-    step = next(s for s in (1, 2, 5, 10, 20, 25, 50, 100) if span / s <= 12)
+    # 1, 2, 5, then 10, 20, 25, 50 times each power of ten: 100, 200, 250, 500, 1000, ...
+    steps = chain((1, 2, 5), (m * 10**k for k in count() for m in (10, 20, 25, 50)))
+    step = next(s for s in steps if span / s <= 12)
     ticks = [t_min]
-    ticks.extend(t for t in range(t_min + 1, t_max + 1) if t % step == 0)
+    ticks.extend(range((t_min // step + 1) * step, t_max + 1, step))
     if ticks[-1] != t_max:
         ticks.append(t_max)
     return ticks

@@ -13,7 +13,7 @@ from typing import Iterable
 
 from .corpus import Corpus
 from .evaluation import MetricsRow, evaluate
-from .lexicon import CorpusIndex, FilterConfig, Lexicon, build_gold, build_index
+from .lexicon import CorpusIndex, FilterConfig, build_index
 from .measures import Measure, MeasureSpec, extract
 
 DEFAULT_FALLOUT_CAP = 0.10
@@ -48,10 +48,8 @@ def _best(rows, fallout_cap=None) -> MetricsRow | None:
     return best
 
 
-def _sweep_index(
-    index: CorpusIndex, gold: Lexicon, kind: Measure, fallout_cap: float
-) -> SweepResult:
-    universe = index.words
+def _sweep_index(index: CorpusIndex, kind: Measure, fallout_cap: float) -> SweepResult:
+    gold, universe = index.gold, index.words
     rows = []
     for threshold in threshold_range(kind, index):
         spec = MeasureSpec(kind=kind, threshold=threshold)
@@ -70,14 +68,13 @@ def _sweep_index(
 def _run(
     corpus: Corpus, config: FilterConfig, kinds: Iterable[Measure], fallout_cap: float
 ) -> list[SweepResult]:
-    """Validate, index and build gold once, then sweep each of kinds."""
+    """Validate and index once, then sweep each of kinds."""
     if not 0.0 <= fallout_cap <= 1.0:
         raise ValueError(f"fallout cap must be in [0, 1], got {fallout_cap}")
     index = build_index(corpus, config)
     if not index.words:
         raise ValueError("no content vocabulary")
-    gold = build_gold(corpus, config)
-    return [_sweep_index(index, gold, kind, fallout_cap) for kind in kinds]
+    return [_sweep_index(index, kind, fallout_cap) for kind in kinds]
 
 
 def run_sweep(

@@ -1,6 +1,7 @@
-"""Brute-force reference extraction, recomputed from raw tokens.
+"""Brute-force reference lexicons and extraction, recomputed from raw tokens.
 
 Shares only `normalize`, `Measure` and `MeasureSpec` with the package:
+the universe and gold walks (one normalize call per token, no memo),
 counting, df lookups, scoring and the top-n% cut (exact rational
 arithmetic) are all reimplemented here, with no entry-threshold ranking.
 Meant for small corpora, roughly up to 50 documents and 500 distinct
@@ -13,6 +14,27 @@ import math
 from fractions import Fraction
 
 from lexsweep import Corpus, FilterConfig, Lexicon, Measure, MeasureSpec, normalize
+
+
+def oracle_universe(corpus: Corpus, config: FilterConfig) -> Lexicon:
+    """Every content word key in the corpus."""
+    keys = {
+        normalize(token, config)
+        for _, sentence in corpus.sentences()
+        for token in sentence.tokens
+    }
+    return frozenset(keys - {None})
+
+
+def oracle_gold(corpus: Corpus, config: FilterConfig) -> Lexicon:
+    """Every content word key in an annotated sentence."""
+    keys = {
+        normalize(token, config)
+        for _, sentence in corpus.sentences()
+        if sentence.annotated
+        for token in sentence.tokens
+    }
+    return frozenset(keys - {None})
 
 
 def _oracle_top(counts: dict[str, float], percent: int) -> set[str]:

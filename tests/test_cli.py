@@ -38,6 +38,23 @@ def unannotated_corpus(tmp_path):
     return write_json(tmp_path / "plain.json", data)
 
 
+@pytest.mark.parametrize(
+    "command",
+    [
+        ["gold"],
+        ["evaluate", "--measure", "idf", "--threshold", "1"],
+        ["sweep", "--out", "report"],
+        ["stats"],
+        ["extract", "--measure", "idf", "--threshold", "1"],
+    ],
+    ids=lambda command: command[0],
+)
+def test_empty_gold_warns_once(command, unannotated_corpus, tmp_path, monkeypatch, capsys):
+    monkeypatch.chdir(tmp_path)
+    assert main([command[0], "--corpus", unannotated_corpus, *command[1:]]) == 0
+    assert capsys.readouterr().err.count("gold lexicon is empty") == 1
+
+
 class TestValidate:
     def test_valid_corpus(self, corpus_arg, capsys):
         assert main(["validate", *corpus_arg]) == 0
@@ -335,6 +352,18 @@ class TestSweep:
         ]
         assert "<circle" in (out_dir / "idf.svg").read_text(encoding="utf-8")
         assert "report written to" in capsys.readouterr().out
+
+    def test_idf_range_wider_than_a_thousand(self, tmp_path, capsys):
+        storm = {"surface": "storm", "pos": "NOUN"}
+        documents = [
+            {"id": f"d{d}", "sentences": [{"id": "s1", "annotated": d == 0, "tokens": [storm]}]}
+            for d in range(1202)
+        ]
+        path = write_json(tmp_path / "wide.json", {"name": "wide", "documents": documents})
+        out_dir = tmp_path / "report"
+        assert main(["sweep", "--corpus", path, "--out", str(out_dir)]) == 0
+        assert len(list(out_dir.iterdir())) == 9
+        assert ">1202</text>" in (out_dir / "idf.svg").read_text(encoding="utf-8")
 
     def test_no_content_vocabulary(self, tmp_path, capsys):
         data = {

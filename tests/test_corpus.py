@@ -107,8 +107,16 @@ class TestParse:
     def test_empty_surface_rejected(self):
         data = minimal_corpus_dict()
         data["documents"][0]["sentences"][0]["tokens"][0]["surface"] = "   "
-        with pytest.raises(CorpusValidationError, match="surface"):
+        with pytest.raises(CorpusValidationError) as info:
             parse_corpus(json.dumps(data))
+        assert str(info.value) == "empty token surface in document 'd1', sentence 's1', token 0"
+
+    def test_empty_pos_rejected(self):
+        data = minimal_corpus_dict()
+        data["documents"][0]["sentences"][0]["tokens"][0]["pos"] = "   "
+        with pytest.raises(CorpusValidationError) as info:
+            parse_corpus(json.dumps(data))
+        assert str(info.value) == "empty token pos in document 'd1', sentence 's1', token 0"
 
     def test_blank_lemma_becomes_none(self):
         data = minimal_corpus_dict()
@@ -288,9 +296,9 @@ class TestInvariants:
             parse_corpus(json.dumps({"name": "x", "documents": []}))
 
     def test_token_constructor_validates(self):
-        with pytest.raises(CorpusValidationError):
+        with pytest.raises(CorpusValidationError, match="^empty token surface$"):
             Token(surface="", pos="NOUN")
-        with pytest.raises(CorpusValidationError):
+        with pytest.raises(CorpusValidationError, match="^empty token pos$"):
             Token(surface="run", pos=" ")
 
     def test_sentence_constructor_validates(self):

@@ -2,6 +2,7 @@ import io
 
 import pytest
 from hypothesis import given
+from hypothesis import strategies as st
 
 from lexsweep import (
     CorpusWarning,
@@ -11,12 +12,17 @@ from lexsweep import (
     build_gold,
     build_index,
     build_universe,
+    compute_stats,
     format_lexicon,
     load_stopwords,
     normalize,
+    run_all_sweeps,
 )
+from lexsweep import lexicon
+from lexsweep.cli import main
 
-from gencorpus import corpora, with_all_annotated, without_sentence
+from gencorpus import POS_POOL, corpora, with_all_annotated, without_sentence
+from oracle import oracle_gold, oracle_universe
 
 
 class TestNormalize:
@@ -97,7 +103,8 @@ class TestBuilders:
         assert index.doc_counts == {"attack": 1, "hostage": 2, "negotiate": 1, "police": 1}
         assert index.n_documents == 2
         assert index.max_doc_count == 2
-        assert index.words == build_universe(fixture_corpus, config)
+        assert index.words == {"attack", "hostage", "negotiate", "police"}
+        assert index.gold == {"attack", "hostage"}
 
     def test_index_covers_contentless_documents(self, config):
         from lexsweep import Corpus, Document, Sentence
@@ -154,7 +161,21 @@ class TestBuilders:
             if normalize(token, config) is not None
         )
         assert sum(index.collection_freq.values()) == content_tokens
-        assert index.words == build_universe(corpus, config)
+        assert index.words == oracle_universe(corpus, config)
+
+    @given(corpus=corpora(), data=st.data())
+    def test_lexicons_match_oracle(self, corpus, data):
+        options = dict(
+            content_pos=data.draw(st.frozensets(st.sampled_from(POS_POOL), min_size=1)),
+            word_key_source=data.draw(st.sampled_from(WordKeySource)),
+            case_fold=data.draw(st.booleans()),
+        )
+        keys = sorted(oracle_universe(corpus, FilterConfig(**options)))
+        stopwords = data.draw(st.frozensets(st.sampled_from(keys))) if keys else frozenset()
+        config = FilterConfig(stopwords=stopwords, **options)
+        index = build_index(corpus, config)
+        assert index.words == oracle_universe(corpus, config)
+        assert index.gold == oracle_gold(corpus, config)
 
     @given(corpus=corpora())
     def test_gold_ignores_unannotated_sentences(self, corpus):
@@ -171,6 +192,37 @@ class TestBuilders:
         config = FilterConfig()
         annotated = with_all_annotated(corpus)
         assert build_gold(annotated, config) == build_universe(annotated, config)
+
+
+class TestOnePass:
+    """Each command walks the corpus once: one normalize call per distinct Token."""
+
+    @pytest.mark.parametrize(
+        "run",
+        [
+            lambda corpus, config, path: run_all_sweeps(corpus, config),
+            lambda corpus, config, path: compute_stats(corpus, config),
+            lambda corpus, config, path: main(
+                ["evaluate", "--corpus", str(path), "--measure", "idf", "--threshold", "1"]
+            ),
+        ],
+        ids=["run_all_sweeps", "compute_stats", "evaluate"],
+    )
+    def test_normalize_once_per_token(
+        self, run, fixture_corpus, fixture_path, config, monkeypatch
+    ):
+        calls = []
+
+        def counting_normalize(token, config):
+            calls.append(token)
+            return normalize(token, config)
+
+        monkeypatch.setattr(lexicon, "normalize", counting_normalize)
+        run(fixture_corpus, config, fixture_path)
+        distinct = {
+            id(token) for _, sentence in fixture_corpus.sentences() for token in sentence.tokens
+        }
+        assert len(calls) == len({id(token) for token in calls}) == len(distinct)
 
 
 class TestStopwords:

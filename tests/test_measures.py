@@ -42,7 +42,7 @@ def make_index(*documents: dict[str, int]) -> CorpusIndex:
         collection_freq=dict(collection),
         per_document={f"d{i}": dict(doc_freq) for i, doc_freq in enumerate(documents)},
         doc_counts=dict(doc_counts),
-        n_documents=len(documents),
+        gold=frozenset(),
     )
 
 

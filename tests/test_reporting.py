@@ -17,6 +17,7 @@ from lexsweep import (
     write_report_bundle,
     write_summary_csv,
 )
+from lexsweep.reporting import _x_ticks
 
 
 @pytest.fixture(scope="module")
@@ -199,6 +200,29 @@ class TestSvg:
             assert circle.get("cx") == centre
         assert "best F @ 3" in text
         assert ">3</text>" in text  # the one x tick
+
+
+class TestXTicks:
+    def test_any_span_up_to_100k(self):
+        for t_max in range(1, 100_001):
+            ticks = _x_ticks(1, t_max)
+            assert ticks[0] == 1 and ticks[-1] == t_max and len(ticks) <= 15
+            assert ticks == sorted(set(ticks))
+
+    def test_spans_up_to_1200_keep_their_ticks(self):
+        # the rule before the step sequence was continued past 100
+        for t_min in (1, 7):
+            for span in range(1201):
+                t_max = t_min + span
+                step = next(s for s in (1, 2, 5, 10, 20, 25, 50, 100) if span / s <= 12)
+                ticks = [t_min, *(t for t in range(t_min + 1, t_max + 1) if t % step == 0)]
+                if ticks[-1] != t_max:
+                    ticks.append(t_max)
+                assert _x_ticks(t_min, t_max) == ticks
+
+    def test_wide_span_steps_by_decades(self):
+        assert _x_ticks(1, 1202) == [1, 200, 400, 600, 800, 1000, 1200, 1202]
+        assert _x_ticks(1, 6001) == [1, *range(500, 6001, 500), 6001]
 
 
 class TestBundle:

@@ -8,16 +8,14 @@ from lexsweep import (
     MeasureSpec,
     Sentence,
     Token,
-    build_gold,
     build_index,
-    build_universe,
     evaluate,
     run_all_sweeps,
     run_sweep,
     threshold_range,
 )
 
-from oracle import oracle_extract
+from oracle import oracle_extract, oracle_gold, oracle_universe
 
 
 class TestThresholdRange:
@@ -68,8 +66,8 @@ class TestFixtureSweeps:
         assert result.best_f_under_cap.threshold == 2
 
     def test_rows_match_oracle_reevaluation(self, fixture_corpus, config):
-        universe = build_universe(fixture_corpus, config)
-        gold = build_gold(fixture_corpus, config)
+        universe = oracle_universe(fixture_corpus, config)
+        gold = oracle_gold(fixture_corpus, config)
         for result in run_all_sweeps(fixture_corpus, config):
             for row in result.rows:
                 spec = MeasureSpec(result.measure, row.threshold)
