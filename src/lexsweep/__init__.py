@@ -37,16 +37,8 @@ from .lexicon import (
     normalize,
 )
 from .measures import Measure, MeasureSpec, extract
-from .reporting import (
-    CSV_HEADER,
-    ReportBundle,
-    read_metrics_csv,
-    render_svg,
-    write_csv,
-    write_report_bundle,
-    write_summary_csv,
-)
-from .sweep import DEFAULT_FALLOUT_CAP, SweepResult, run_all_sweeps, run_sweep, threshold_range
+from .reporting import CSV_HEADER, render_svg, write_report_bundle
+from .sweep import DEFAULT_FALLOUT_CAP, SweepResult, run_all_sweeps, threshold_range
 
 __version__ = "0.1.0"
 
@@ -67,7 +59,6 @@ __all__ = [
     "Measure",
     "MeasureSpec",
     "MetricsRow",
-    "ReportBundle",
     "Sentence",
     "SweepResult",
     "Token",
@@ -86,12 +77,8 @@ __all__ = [
     "load_stopwords",
     "normalize",
     "parse_corpus",
-    "read_metrics_csv",
     "render_svg",
     "run_all_sweeps",
-    "run_sweep",
     "threshold_range",
-    "write_csv",
     "write_report_bundle",
-    "write_summary_csv",
 ]

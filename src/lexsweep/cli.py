@@ -36,7 +36,7 @@ _STATS_LABELS = (
 )
 
 
-def _build_parser() -> tuple[argparse.ArgumentParser, dict[str, argparse.ArgumentParser]]:
+def _build_parser() -> argparse.ArgumentParser:
     common = argparse.ArgumentParser(add_help=False)
     common.add_argument("--corpus", required=True, help="corpus JSON file")
     common.add_argument("--stopwords", help="stopword file, one word per line")
@@ -80,41 +80,36 @@ def _build_parser() -> tuple[argparse.ArgumentParser, dict[str, argparse.Argumen
         ),
     )
     subcommands = parser.add_subparsers(dest="command", required=True)
-    subparsers: dict[str, argparse.ArgumentParser] = {}
 
-    subparsers["validate"] = subcommands.add_parser(
-        "validate", parents=[common], help="parse and validate a corpus file"
-    )
-    stats = subcommands.add_parser(
-        "stats", parents=[common], help="print corpus statistics"
-    )
+    def add(name, handler, parents, summary):
+        subparser = subcommands.add_parser(name, parents=parents, help=summary)
+        subparser.set_defaults(handler=handler, subparser=subparser)
+        return subparser
+
+    add("validate", _cmd_validate, [common], "parse and validate a corpus file")
+    stats = add("stats", _cmd_stats, [common], "print corpus statistics")
     stats.add_argument("--csv", action="store_true", help="emit CSV instead of text")
-    subparsers["stats"] = stats
 
-    gold = subcommands.add_parser(
-        "gold", parents=[common], help="write the gold (message) lexicon"
-    )
+    gold = add("gold", _cmd_gold, [common], "write the gold (message) lexicon")
     gold.add_argument("--out", help="output file (default: stdout)")
-    subparsers["gold"] = gold
 
-    extract_cmd = subcommands.add_parser(
+    extract_cmd = add(
         "extract",
-        parents=[common, measured],
-        help="extract a lexicon with one measure and threshold",
+        _cmd_extract,
+        [common, measured],
+        "extract a lexicon with one measure and threshold",
     )
     extract_cmd.add_argument("--out", help="output file (default: stdout)")
-    subparsers["extract"] = extract_cmd
 
-    subparsers["evaluate"] = subcommands.add_parser(
+    add(
         "evaluate",
-        parents=[common, measured],
-        help="extract at one operating point and score it against the gold lexicon",
+        _cmd_evaluate,
+        [common, measured],
+        "extract at one operating point and score it against the gold lexicon",
     )
 
-    sweep = subcommands.add_parser(
-        "sweep",
-        parents=[common],
-        help="sweep all four measures and write CSV/SVG reports",
+    sweep = add(
+        "sweep", _cmd_sweep, [common], "sweep all four measures and write CSV/SVG reports"
     )
     sweep.add_argument(
         "--fallout-cap",
@@ -123,9 +118,8 @@ def _build_parser() -> tuple[argparse.ArgumentParser, dict[str, argparse.Argumen
         help="fallout ceiling for the capped operating point (default: 0.10)",
     )
     sweep.add_argument("--out", required=True, help="output directory")
-    subparsers["sweep"] = sweep
 
-    return parser, subparsers
+    return parser
 
 
 def _filter_config(args: argparse.Namespace) -> FilterConfig:
@@ -173,14 +167,14 @@ def _print_metrics(row: MetricsRow) -> None:
         print(f"{name + ':':<{width}} {value}")
 
 
-def _cmd_validate(args, subparser) -> int:
+def _cmd_validate(args) -> int:
     corpus = load_corpus(args.corpus)
     n_sentences = sum(len(d.sentences) for d in corpus.documents)
     print(f"{args.corpus}: valid ({len(corpus.documents)} documents, {n_sentences} sentences)")
     return 0
 
 
-def _cmd_stats(args, subparser) -> int:
+def _cmd_stats(args) -> int:
     corpus = load_corpus(args.corpus)
     stats = compute_stats(corpus, _filter_config(args))
     if args.csv:
@@ -194,7 +188,7 @@ def _cmd_stats(args, subparser) -> int:
     return 0
 
 
-def _cmd_gold(args, subparser) -> int:
+def _cmd_gold(args) -> int:
     corpus = load_corpus(args.corpus)
     _write_words(build_index(corpus, _filter_config(args)).gold, args.out)
     return 0
@@ -207,20 +201,20 @@ def _extraction_point(args):
     return build_index(corpus, config), spec
 
 
-def _cmd_extract(args, subparser) -> int:
+def _cmd_extract(args) -> int:
     index, spec = _extraction_point(args)
     _write_words(extract(index, spec), args.out)
     return 0
 
 
-def _cmd_evaluate(args, subparser) -> int:
+def _cmd_evaluate(args) -> int:
     index, spec = _extraction_point(args)
     row = evaluate(extract(index, spec), index.gold, index.words, spec)
     _print_metrics(row)
     return 0
 
 
-def _cmd_sweep(args, subparser) -> int:
+def _cmd_sweep(args) -> int:
     corpus = load_corpus(args.corpus)
     results = run_all_sweeps(corpus, _filter_config(args), fallout_cap=args.fallout_cap)
     write_report_bundle(results, args.out)
@@ -256,34 +250,22 @@ def _cmd_sweep(args, subparser) -> int:
     return 0
 
 
-_COMMANDS = {
-    "validate": _cmd_validate,
-    "stats": _cmd_stats,
-    "gold": _cmd_gold,
-    "extract": _cmd_extract,
-    "evaluate": _cmd_evaluate,
-    "sweep": _cmd_sweep,
-}
-
-
 def main(argv: list[str] | None = None) -> int:
-    parser, subparsers = _build_parser()
     try:
-        args = parser.parse_args(argv)
+        args = _build_parser().parse_args(argv)
     except SystemExit as exc:
         return int(exc.code or 0)
 
-    subparser = subparsers[args.command]
     try:
         with warnings.catch_warnings(record=True) as caught:
             warnings.simplefilter("always")
             try:
-                return _COMMANDS[args.command](args, subparser)
+                return args.handler(args)
             finally:
                 for warning in caught:
                     print(f"warning: {warning.message}", file=sys.stderr)
     except ValueError as exc:
-        return _usage_error(subparser, str(exc))
+        return _usage_error(args.subparser, str(exc))
     except CorpusError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2

@@ -260,6 +260,9 @@ def _parse_json(source: str) -> Corpus:
         ) from exc
     except RecursionError as exc:
         raise CorpusParseError("JSON nesting is too deep to parse") from exc
+    except ValueError as exc:
+        # e.g. an integer literal longer than the int-to-str digit limit
+        raise CorpusParseError(f"malformed JSON: {exc}") from exc
 
     if not isinstance(data, dict):
         raise CorpusValidationError("top-level corpus value must be an object")

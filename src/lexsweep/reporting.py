@@ -1,21 +1,19 @@
 """CSV tables and SVG sweep curves for sweep results.
 
-Output is byte-deterministic: fixed 4-decimal formatting, LF line
-endings, UTF-8, and no timestamps or external references, so identical
-sweeps serialize identically.
+Each renderer returns the text of one file.  Output is byte-deterministic:
+fixed 4-decimal formatting, LF line endings, UTF-8, and no timestamps or
+external references, so identical sweeps serialize identically.  A report
+bundle renders every file before it writes any, so a render error leaves
+no partial report behind.
 """
 
 from __future__ import annotations
 
-import csv
-import io
-from dataclasses import dataclass
 from itertools import chain, count
 from pathlib import Path
-from typing import IO, Iterable, Sequence
+from typing import Iterable, Sequence
 
 from .evaluation import MetricsRow
-from .measures import Measure
 from .sweep import SweepResult
 
 CSV_HEADER = (
@@ -34,51 +32,24 @@ def _format_row(row: MetricsRow) -> str:
     )
 
 
-def write_csv(result: SweepResult, sink: IO[bytes]) -> int:
-    """Write one sweep as CSV, one line per threshold; returns the row count."""
+def format_csv(result: SweepResult) -> str:
+    """One sweep as CSV text, one line per threshold."""
     lines = [CSV_HEADER]
     lines.extend(_format_row(row) for row in result.rows)
-    sink.write(("\n".join(lines) + "\n").encode("utf-8"))
-    return len(result.rows)
+    return "\n".join(lines) + "\n"
 
 
-def write_summary_csv(results: Sequence[SweepResult], sink: IO[bytes]) -> int:
-    """Write each sweep's selected operating points as CSV rows."""
+def format_summary_csv(results: Sequence[SweepResult]) -> str:
+    """Each sweep's selected operating points as CSV text."""
     lines = [SUMMARY_HEADER]
-    count = 0
     for result in results:
         lines.append(f"{result.measure.value},best_f," + _format_row(result.best_f).split(",", 1)[1])
-        count += 1
         if result.best_f_under_cap is not None:
             lines.append(
                 f"{result.measure.value},best_f_under_cap,"
                 + _format_row(result.best_f_under_cap).split(",", 1)[1]
             )
-            count += 1
-    sink.write(("\n".join(lines) + "\n").encode("utf-8"))
-    return count
-
-
-def read_metrics_csv(source: IO[bytes]) -> list[MetricsRow]:
-    """Parse a CSV written by write_csv back into MetricsRow values."""
-    text = io.TextIOWrapper(source, encoding="utf-8", newline="")
-    rows = []
-    for record in csv.DictReader(text):
-        rows.append(
-            MetricsRow(
-                measure=Measure(record["measure"]),
-                threshold=int(record["threshold"]),
-                precision=float(record["precision"]),
-                recall=float(record["recall"]),
-                f_measure=float(record["f_measure"]),
-                fallout=float(record["fallout"]),
-                extracted_size=int(record["extracted_size"]),
-                true_positives=int(record["true_positives"]),
-                universe_size=int(record["universe_size"]),
-                gold_size=int(record["gold_size"]),
-            )
-        )
-    return rows
+    return "\n".join(lines) + "\n"
 
 
 # ---------------------------------------------------------------------------
@@ -112,8 +83,8 @@ def _x_ticks(t_min: int, t_max: int) -> list[int]:
     return ticks
 
 
-def render_svg(result: SweepResult, sink: IO[bytes]) -> None:
-    """Render a sweep as a self-contained SVG line chart.
+def render_svg(result: SweepResult) -> str:
+    """Render a sweep as the text of a self-contained SVG line chart.
 
     X axis is the threshold, Y axis is [0, 1]; one polyline per metric
     plus a dashed vertical marker at the best-F threshold.  A single-row
@@ -225,42 +196,26 @@ def render_svg(result: SweepResult, sink: IO[bytes]) -> None:
         )
 
     lines.append("</svg>")
-    sink.write(("\n".join(lines) + "\n").encode("utf-8"))
+    return "\n".join(lines) + "\n"
 
 
 # ---------------------------------------------------------------------------
 # Report bundles
 # ---------------------------------------------------------------------------
 
-@dataclass(frozen=True)
-class ReportBundle:
-    """Paths of everything one sweep report wrote."""
+def write_report_bundle(results: Iterable[SweepResult], out_dir) -> None:
+    """Write per-measure CSV and SVG files plus summary.csv into a directory.
 
-    csv_paths: dict[Measure, Path]
-    svg_paths: dict[Measure, Path]
-    summary_path: Path
-
-    def all_paths(self) -> list[Path]:
-        return [*self.csv_paths.values(), *self.svg_paths.values(), self.summary_path]
-
-
-def write_report_bundle(results: Iterable[SweepResult], out_dir) -> ReportBundle:
-    """Write per-measure CSV and SVG files plus summary.csv into a directory."""
+    Every file is rendered before any is written, so a render error writes
+    nothing, not even the directory.
+    """
+    results = list(results)
+    files = {}
+    for result in results:
+        files[f"{result.measure.value}.csv"] = format_csv(result)
+        files[f"{result.measure.value}.svg"] = render_svg(result)
+    files["summary.csv"] = format_summary_csv(results)
     out_dir = Path(out_dir)
     out_dir.mkdir(parents=True, exist_ok=True)
-    results = list(results)
-    csv_paths: dict[Measure, Path] = {}
-    svg_paths: dict[Measure, Path] = {}
-    for result in results:
-        csv_path = out_dir / f"{result.measure.value}.csv"
-        with open(csv_path, "wb") as handle:
-            write_csv(result, handle)
-        csv_paths[result.measure] = csv_path
-        svg_path = out_dir / f"{result.measure.value}.svg"
-        with open(svg_path, "wb") as handle:
-            render_svg(result, handle)
-        svg_paths[result.measure] = svg_path
-    summary_path = out_dir / "summary.csv"
-    with open(summary_path, "wb") as handle:
-        write_summary_csv(results, handle)
-    return ReportBundle(csv_paths=csv_paths, svg_paths=svg_paths, summary_path=summary_path)
+    for name, text in files.items():
+        (out_dir / name).write_bytes(text.encode("utf-8"))

@@ -9,7 +9,6 @@ F-measure among rows whose fallout stays under a configurable cap.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Iterable
 
 from .corpus import Corpus
 from .evaluation import MetricsRow, evaluate
@@ -65,32 +64,15 @@ def _sweep_index(index: CorpusIndex, kind: Measure, fallout_cap: float) -> Sweep
     )
 
 
-def _run(
-    corpus: Corpus, config: FilterConfig, kinds: Iterable[Measure], fallout_cap: float
-) -> list[SweepResult]:
-    """Validate and index once, then sweep each of kinds."""
-    if not 0.0 <= fallout_cap <= 1.0:
-        raise ValueError(f"fallout cap must be in [0, 1], got {fallout_cap}")
-    index = build_index(corpus, config)
-    if not index.words:
-        raise ValueError("no content vocabulary")
-    return [_sweep_index(index, kind, fallout_cap) for kind in kinds]
-
-
-def run_sweep(
-    corpus: Corpus,
-    config: FilterConfig,
-    kind: Measure,
-    fallout_cap: float = DEFAULT_FALLOUT_CAP,
-) -> SweepResult:
-    """Sweep one measure across its full threshold range on a corpus."""
-    return _run(corpus, config, (kind,), fallout_cap)[0]
-
-
 def run_all_sweeps(
     corpus: Corpus,
     config: FilterConfig,
     fallout_cap: float = DEFAULT_FALLOUT_CAP,
 ) -> list[SweepResult]:
     """Sweep all four measures over a shared index, in Measure order."""
-    return _run(corpus, config, Measure, fallout_cap)
+    if not 0.0 <= fallout_cap <= 1.0:
+        raise ValueError(f"fallout cap must be in [0, 1], got {fallout_cap}")
+    index = build_index(corpus, config)
+    if not index.words:
+        raise ValueError("no content vocabulary")
+    return [_sweep_index(index, kind, fallout_cap) for kind in Measure]

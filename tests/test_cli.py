@@ -2,8 +2,12 @@ import json
 import shutil
 import subprocess
 import sys
+import tempfile
+from pathlib import Path
 
 import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
 
 from lexsweep.cli import main
 
@@ -96,6 +100,14 @@ class TestValidate:
         err = capsys.readouterr().err
         assert "too deep" in err
         assert "Traceback" not in err
+
+    def test_overlong_integer_is_a_parse_error(self, tmp_path, capsys):
+        path = tmp_path / "big.json"
+        path.write_text('{"name": "x", "documents": ' + "1" * 5000 + "}", encoding="utf-8")
+        assert main(["validate", "--corpus", str(path)]) == 2
+        err = capsys.readouterr().err
+        assert err.startswith("error: malformed JSON: ")
+        assert "usage:" not in err
 
     def test_unknown_field_warns_on_stderr(self, tmp_path, capsys):
         data = {
@@ -275,6 +287,70 @@ class TestEvaluate:
         assert values["recall"] == "1.0000"
         assert values["f_measure"] == "0.8000"
         assert values["fallout"] == "0.5000"
+
+
+# Leaf values a hostile or careless corpus file may hold anywhere.
+LEAVES = st.one_of(
+    st.none(),
+    st.booleans(),
+    st.integers(),
+    st.floats(allow_nan=True, allow_infinity=True),
+    st.text(max_size=4),
+    st.just("\ud800"),
+)
+
+
+def field(plausible):
+    # mostly plausible, so that some drawn corpora are valid and get swept
+    return st.integers(1, 12).flatmap(lambda n: LEAVES if n == 12 else plausible)
+
+
+TOKENS = st.lists(
+    st.fixed_dictionaries(
+        {
+            "surface": field(st.sampled_from(["storm", "attacked", "the"])),
+            "pos": field(st.sampled_from(["NOUN", "VERB", "DET"])),
+        },
+        optional={"lemma": field(st.sampled_from(["attack", ""]))},
+    ),
+    min_size=1,
+    max_size=3,
+)
+SENTENCES = st.lists(
+    st.fixed_dictionaries(
+        {
+            "id": field(st.sampled_from(["s1", "s2"])),
+            "annotated": field(st.booleans()),
+            "tokens": field(TOKENS),
+        },
+        optional={"message_type": field(st.just("attack"))},
+    ),
+    max_size=3,
+    unique_by=lambda sentence: sentence["id"],
+)
+DOCUMENTS = st.lists(
+    st.fixed_dictionaries(
+        {"id": field(st.sampled_from(["d1", "d2", "d3"])), "sentences": field(SENTENCES)}
+    ),
+    min_size=1,
+    max_size=3,
+    unique_by=lambda document: document["id"],
+)
+CORPUS_JSON = st.fixed_dictionaries(
+    {"name": field(st.just("fuzz")), "documents": field(DOCUMENTS)}
+).map(lambda data: json.dumps(data).encode("utf-8"))
+
+
+@pytest.mark.parametrize("command", ["validate", "sweep"])
+@settings(max_examples=100, derandomize=True, deadline=None)
+@given(raw=st.one_of(st.binary(max_size=64), CORPUS_JSON))
+@example(raw=b'{"name": "x", "documents": [{"id": "d1", "lemma": ' + b"7" * 5000 + b"}]}")
+def test_any_input_gives_an_exit_code(command, raw):
+    with tempfile.TemporaryDirectory() as tmp:
+        path = Path(tmp) / "corpus.json"
+        path.write_bytes(raw)
+        extra = ["--out", str(Path(tmp) / "report")] if command == "sweep" else []
+        assert main([command, "--corpus", str(path), *extra]) in (0, 1, 2)
 
 
 class TestSweep:

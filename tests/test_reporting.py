@@ -1,3 +1,4 @@
+import csv
 import hashlib
 import io
 import xml.etree.ElementTree as ET
@@ -9,20 +10,24 @@ from lexsweep import (
     Measure,
     MetricsRow,
     SweepResult,
-    read_metrics_csv,
     render_svg,
     run_all_sweeps,
-    run_sweep,
-    write_csv,
     write_report_bundle,
-    write_summary_csv,
 )
-from lexsweep.reporting import _x_ticks
+from lexsweep import reporting
+from lexsweep.reporting import _x_ticks, format_csv, format_summary_csv
 
-
-@pytest.fixture(scope="module")
-def cf_sweep(fixture_corpus, config):
-    return run_sweep(fixture_corpus, config, Measure.COLLECTION_FREQ)
+BUNDLE_NAMES = [
+    "cf.csv",
+    "cf.svg",
+    "df.csv",
+    "df.svg",
+    "idf.csv",
+    "idf.svg",
+    "summary.csv",
+    "tfidf.csv",
+    "tfidf.svg",
+]
 
 
 @pytest.fixture(scope="module")
@@ -30,16 +35,13 @@ def all_sweeps(fixture_corpus, config):
     return run_all_sweeps(fixture_corpus, config)
 
 
+@pytest.fixture(scope="module")
+def cf_sweep(all_sweeps):
+    return next(r for r in all_sweeps if r.measure is Measure.COLLECTION_FREQ)
+
+
 def csv_bytes(result) -> bytes:
-    sink = io.BytesIO()
-    write_csv(result, sink)
-    return sink.getvalue()
-
-
-def svg_text(result) -> str:
-    sink = io.BytesIO()
-    render_svg(result, sink)
-    return sink.getvalue().decode("utf-8")
+    return format_csv(result).encode("utf-8")
 
 
 def make_row(threshold: int, value: float = 0.5) -> MetricsRow:
@@ -76,37 +78,27 @@ class TestCsv:
         # threshold 51 extracts 3 of 4 words, 2 of them gold
         assert lines[51] == "cf,51,0.6667,1.0000,0.8000,0.5000,3,2,4,2"
 
-    def test_returns_row_count(self, cf_sweep):
-        assert write_csv(cf_sweep, io.BytesIO()) == 100
-
     def test_byte_determinism(self, cf_sweep):
         digests = {hashlib.sha256(csv_bytes(cf_sweep)).hexdigest() for _ in range(3)}
         assert len(digests) == 1
 
     def test_round_trip(self, cf_sweep):
-        parsed = read_metrics_csv(io.BytesIO(csv_bytes(cf_sweep)))
-        assert len(parsed) == len(cf_sweep.rows)
-        for got, want in zip(parsed, cf_sweep.rows):
-            assert got.measure is want.measure
-            assert got.threshold == want.threshold
-            assert got.precision == pytest.approx(want.precision, abs=5e-5)
-            assert got.recall == pytest.approx(want.recall, abs=5e-5)
-            assert got.f_measure == pytest.approx(want.f_measure, abs=5e-5)
-            assert got.fallout == pytest.approx(want.fallout, abs=5e-5)
-            assert got.extracted_size == want.extracted_size
-            assert got.true_positives == want.true_positives
-            assert got.universe_size == want.universe_size
-            assert got.gold_size == want.gold_size
+        records = list(csv.DictReader(io.StringIO(format_csv(cf_sweep), newline="")))
+        assert len(records) == len(cf_sweep.rows)
+        for got, want in zip(records, cf_sweep.rows):
+            assert Measure(got["measure"]) is want.measure
+            assert int(got["threshold"]) == want.threshold
+            for field in ("precision", "recall", "f_measure", "fallout"):
+                assert float(got[field]) == pytest.approx(getattr(want, field), abs=5e-5)
+            for field in ("extracted_size", "true_positives", "universe_size", "gold_size"):
+                assert int(got[field]) == getattr(want, field)
 
     def test_summary(self, all_sweeps):
-        sink = io.BytesIO()
-        count = write_summary_csv(all_sweeps, sink)
-        lines = sink.getvalue().decode("utf-8").splitlines()
+        lines = format_summary_csv(all_sweeps).splitlines()
         assert lines[0] == (
             "measure,selection,threshold,precision,recall,f_measure,fallout,"
             "extracted_size,true_positives,universe_size,gold_size"
         )
-        assert count == len(lines) - 1
         assert lines[1].startswith("cf,best_f,26,")
         assert lines[2].startswith("cf,best_f_under_cap,26,")
         assert any(line.startswith("idf,best_f,1,") for line in lines)
@@ -117,14 +109,14 @@ class TestCsv:
 
 class TestSvg:
     def test_well_formed_and_self_contained(self, cf_sweep):
-        text = svg_text(cf_sweep)
+        text = render_svg(cf_sweep)
         root = ET.fromstring(text)
         assert root.tag.endswith("svg")
         assert "href" not in text
         assert text.count("http") == 1  # the xmlns declaration only
 
     def test_four_series_with_legend(self, cf_sweep):
-        text = svg_text(cf_sweep)
+        text = render_svg(cf_sweep)
         assert text.count("<polyline") == 4
         for label in ("Precision", "Recall", "F-measure", "Fallout"):
             assert label in text
@@ -132,32 +124,32 @@ class TestSvg:
             assert text.count(color) == 2  # polyline stroke + legend swatch
 
     def test_point_count_matches_rows(self, cf_sweep):
-        root = ET.fromstring(svg_text(cf_sweep))
+        root = ET.fromstring(render_svg(cf_sweep))
         ns = "{http://www.w3.org/2000/svg}"
         for polyline in root.iter(f"{ns}polyline"):
             assert len(polyline.get("points").split()) == len(cf_sweep.rows)
 
     def test_best_f_marker(self, cf_sweep):
-        text = svg_text(cf_sweep)
+        text = render_svg(cf_sweep)
         assert 'stroke-dasharray="5,4"' in text
         assert "best F @ 26" in text
 
     def test_title_and_axis_labels(self, cf_sweep, all_sweeps):
-        assert "Collection Frequency sweep" in svg_text(cf_sweep)
-        assert "threshold (cf%)" in svg_text(cf_sweep)
+        assert "Collection Frequency sweep" in render_svg(cf_sweep)
+        assert "threshold (cf%)" in render_svg(cf_sweep)
         idf_sweep = all_sweeps[-1]
-        assert "threshold (idf docs)" in svg_text(idf_sweep)
+        assert "threshold (idf docs)" in render_svg(idf_sweep)
 
     def test_two_row_sweep_renders(self, all_sweeps):
         idf_sweep = all_sweeps[-1]
-        root = ET.fromstring(svg_text(idf_sweep))
+        root = ET.fromstring(render_svg(idf_sweep))
         ns = "{http://www.w3.org/2000/svg}"
         for polyline in root.iter(f"{ns}polyline"):
             assert len(polyline.get("points").split()) == 2
 
     def test_byte_determinism(self, cf_sweep):
         digests = {
-            hashlib.sha256(svg_text(cf_sweep).encode("utf-8")).hexdigest()
+            hashlib.sha256(render_svg(cf_sweep).encode("utf-8")).hexdigest()
             for _ in range(3)
         }
         assert len(digests) == 1
@@ -171,7 +163,7 @@ class TestSvg:
             best_f_under_cap=None,
             fallout_cap=0.1,
         )
-        root = ET.fromstring(svg_text(result))
+        root = ET.fromstring(render_svg(result))
         ns = "{http://www.w3.org/2000/svg}"
         polylines = list(root.iter(f"{ns}polyline"))
         assert polylines
@@ -188,7 +180,7 @@ class TestSvg:
             best_f_under_cap=None,
             fallout_cap=0.1,
         )
-        text = svg_text(result)
+        text = render_svg(result)
         root = ET.fromstring(text)
         ns = "{http://www.w3.org/2000/svg}"
         centre = f"{70 + (960 - 70 - 190) / 2:.2f}"
@@ -227,24 +219,26 @@ class TestXTicks:
 
 class TestBundle:
     def test_writes_all_files(self, all_sweeps, tmp_path):
-        bundle = write_report_bundle(all_sweeps, tmp_path / "report")
-        names = sorted(p.name for p in bundle.all_paths())
-        assert names == [
-            "cf.csv",
-            "cf.svg",
-            "df.csv",
-            "df.svg",
-            "idf.csv",
-            "idf.svg",
-            "summary.csv",
-            "tfidf.csv",
-            "tfidf.svg",
-        ]
-        for path in bundle.all_paths():
-            assert path.exists() and path.stat().st_size > 0
+        out_dir = tmp_path / "report"
+        assert write_report_bundle(all_sweeps, out_dir) is None
+        assert sorted(p.name for p in out_dir.iterdir()) == BUNDLE_NAMES
+        for path in out_dir.iterdir():
+            assert path.stat().st_size > 0
 
     def test_bundle_deterministic(self, all_sweeps, tmp_path):
-        first = write_report_bundle(all_sweeps, tmp_path / "a")
-        second = write_report_bundle(all_sweeps, tmp_path / "b")
-        for p1, p2 in zip(sorted(first.all_paths()), sorted(second.all_paths())):
-            assert p1.read_bytes() == p2.read_bytes()
+        write_report_bundle(all_sweeps, tmp_path / "a")
+        write_report_bundle(all_sweeps, tmp_path / "b")
+        for name in BUNDLE_NAMES:
+            assert (tmp_path / "a" / name).read_bytes() == (tmp_path / "b" / name).read_bytes()
+
+    def test_render_error_writes_nothing(self, all_sweeps, tmp_path, monkeypatch):
+        def failing_render(result):
+            if result.measure is Measure.INTERDOC_FREQ:
+                raise ValueError("cannot plot")
+            return render_svg(result)
+
+        monkeypatch.setattr(reporting, "render_svg", failing_render)
+        out_dir = tmp_path / "report"
+        with pytest.raises(ValueError, match="cannot plot"):
+            write_report_bundle(all_sweeps, out_dir)
+        assert not out_dir.exists()

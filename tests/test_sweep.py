@@ -11,11 +11,15 @@ from lexsweep import (
     build_index,
     evaluate,
     run_all_sweeps,
-    run_sweep,
     threshold_range,
 )
 
 from oracle import oracle_extract, oracle_gold, oracle_universe
+
+
+def sweep_of(corpus, config, kind, **kwargs):
+    """The sweep for one measure, selected from run_all_sweeps."""
+    return next(r for r in run_all_sweeps(corpus, config, **kwargs) if r.measure is kind)
 
 
 class TestThresholdRange:
@@ -31,7 +35,7 @@ class TestThresholdRange:
 
 class TestFixtureSweeps:
     def test_collection_freq_sweep(self, fixture_corpus, config):
-        result = run_sweep(fixture_corpus, config, Measure.COLLECTION_FREQ)
+        result = sweep_of(fixture_corpus, config, Measure.COLLECTION_FREQ)
         assert len(result.rows) == 100
         assert [row.threshold for row in result.rows] == list(range(1, 101))
         assert result.best_f.threshold == 26
@@ -42,14 +46,14 @@ class TestFixtureSweeps:
         assert all(row.universe_size == 4 and row.gold_size == 2 for row in result.rows)
 
     def test_document_freq_sweep(self, fixture_corpus, config):
-        result = run_sweep(fixture_corpus, config, Measure.DOCUMENT_FREQ)
+        result = sweep_of(fixture_corpus, config, Measure.DOCUMENT_FREQ)
         assert result.best_f.threshold == 34
         assert result.best_f.f_measure == pytest.approx(0.8)
         # every DF row extracts a non-gold word, so nothing clears a 0.1 cap
         assert result.best_f_under_cap is None
 
     def test_tfidf_sweep(self, fixture_corpus, config):
-        result = run_sweep(fixture_corpus, config, Measure.TFIDF)
+        result = sweep_of(fixture_corpus, config, Measure.TFIDF)
         assert result.best_f.threshold == 51
         assert result.best_f.f_measure == pytest.approx(2 / 3)
         assert result.best_f_under_cap is None
@@ -57,7 +61,7 @@ class TestFixtureSweeps:
     def test_interdoc_sweep_breaks_tie_toward_smaller_threshold(
         self, fixture_corpus, config
     ):
-        result = run_sweep(fixture_corpus, config, Measure.INTERDOC_FREQ)
+        result = sweep_of(fixture_corpus, config, Measure.INTERDOC_FREQ)
         assert len(result.rows) == 2
         assert [row.threshold for row in result.rows] == [1, 2]
         assert result.rows[0].f_measure == result.rows[1].f_measure
@@ -88,14 +92,14 @@ class TestFixtureSweeps:
 
     def test_monotone_metrics_along_percent_sweeps(self, fixture_corpus, config):
         for kind in (Measure.COLLECTION_FREQ, Measure.DOCUMENT_FREQ, Measure.TFIDF):
-            rows = run_sweep(fixture_corpus, config, kind).rows
+            rows = sweep_of(fixture_corpus, config, kind).rows
             for earlier, later in zip(rows, rows[1:]):
                 assert earlier.extracted_size <= later.extracted_size
                 assert earlier.recall <= later.recall
                 assert earlier.fallout <= later.fallout
 
     def test_interdoc_metrics_antitone(self, fixture_corpus, config):
-        rows = run_sweep(fixture_corpus, config, Measure.INTERDOC_FREQ).rows
+        rows = sweep_of(fixture_corpus, config, Measure.INTERDOC_FREQ).rows
         for earlier, later in zip(rows, rows[1:]):
             assert earlier.extracted_size >= later.extracted_size
             assert earlier.recall >= later.recall
@@ -106,12 +110,10 @@ class TestValidation:
     @pytest.mark.parametrize("cap", [-0.1, 1.5])
     def test_fallout_cap_bounds(self, fixture_corpus, config, cap):
         with pytest.raises(ValueError, match="fallout cap"):
-            run_sweep(fixture_corpus, config, Measure.COLLECTION_FREQ, fallout_cap=cap)
-        with pytest.raises(ValueError, match="fallout cap"):
             run_all_sweeps(fixture_corpus, config, fallout_cap=cap)
 
     def test_zero_cap_allowed(self, fixture_corpus, config):
-        result = run_sweep(fixture_corpus, config, Measure.COLLECTION_FREQ, fallout_cap=0.0)
+        result = sweep_of(fixture_corpus, config, Measure.COLLECTION_FREQ, fallout_cap=0.0)
         assert result.best_f_under_cap is not None
         assert result.best_f_under_cap.fallout == 0.0
 
@@ -127,8 +129,6 @@ class TestValidation:
                 ),
             ),
         )
-        with pytest.raises(ValueError, match="no content vocabulary"):
-            run_sweep(corpus, config, Measure.COLLECTION_FREQ)
         with pytest.raises(ValueError, match="no content vocabulary"):
             run_all_sweeps(corpus, config)
 
