@@ -1,10 +1,11 @@
 """Precision, recall, F-measure, and fallout for an extracted lexicon.
 
 All metrics are plain set-overlap ratios against the gold lexicon within
-the universe.  Division-by-zero conventions are explicit: an empty
-extraction scores precision 1.0 against an empty gold set and 0.0
-otherwise, recall of an empty gold set is 1.0, and fallout is 0.0 when
-the universe equals the gold set.
+the universe, so score computes them from four counts.  Its
+division-by-zero conventions are explicit: an empty extraction scores
+precision 1.0 against an empty gold set and 0.0 otherwise, recall of an
+empty gold set is 1.0, and fallout is 0.0 when the universe equals the
+gold set.
 """
 
 from __future__ import annotations
@@ -58,17 +59,28 @@ def evaluate(
         stray = sorted(gold - universe)[:5]
         raise ValueError(f"gold lexicon is not a subset of the universe: {stray}")
 
-    true_positives = len(extracted & gold)
-    if extracted:
-        precision = true_positives / len(extracted)
-        empty_extraction = False
-    else:
-        precision = 1.0 if not gold else 0.0
-        empty_extraction = True
-    recall = true_positives / len(gold) if gold else 1.0
+    return score(spec, len(extracted), len(extracted & gold), len(universe), len(gold))
 
-    non_gold = len(universe) - len(gold)
-    false_positives = len(extracted) - true_positives
+
+def score(
+    spec: MeasureSpec,
+    extracted_size: int,
+    true_positives: int,
+    universe_size: int,
+    gold_size: int,
+) -> MetricsRow:
+    """Score an extraction from its counts |E|, |E ∩ M|, |U| and |M|.
+
+    This is the one place the division-by-zero conventions live; evaluate
+    and the threshold sweeps both score through it.
+    """
+    if extracted_size:
+        precision = true_positives / extracted_size
+    else:
+        precision = 1.0 if not gold_size else 0.0
+    recall = true_positives / gold_size if gold_size else 1.0
+    non_gold = universe_size - gold_size
+    false_positives = extracted_size - true_positives
     fallout = false_positives / non_gold if non_gold else 0.0
 
     return MetricsRow(
@@ -78,9 +90,9 @@ def evaluate(
         recall=recall,
         f_measure=f_measure(precision, recall),
         fallout=fallout,
-        extracted_size=len(extracted),
+        extracted_size=extracted_size,
         true_positives=true_positives,
-        universe_size=len(universe),
-        gold_size=len(gold),
-        empty_extraction=empty_extraction,
+        universe_size=universe_size,
+        gold_size=gold_size,
+        empty_extraction=not extracted_size,
     )

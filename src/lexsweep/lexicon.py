@@ -80,7 +80,7 @@ class CorpusIndex:
 
     @cached_property
     def rankings(self) -> dict:
-        """Percent-measure word rankings, filled in on first use by measures.extract."""
+        """Percent-measure word rankings, filled in on first use by measures.ranking."""
         return {}
 
 

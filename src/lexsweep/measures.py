@@ -101,13 +101,18 @@ def _ranking(index: CorpusIndex, kind: Measure) -> tuple[list[int], list[str]]:
     return ends, sorted(entries, key=entries.__getitem__)
 
 
+def ranking(index: CorpusIndex, kind: Measure) -> tuple[list[int], list[str]]:
+    """A percent measure's (ends, words), built on first use and cached on the index."""
+    cached = index.rankings.get(kind)
+    if cached is None:
+        cached = index.rankings[kind] = _ranking(index, kind)
+    return cached
+
+
 def extract(index: CorpusIndex, spec: MeasureSpec) -> Lexicon:
     """The words a measure keeps at a threshold: a prefix of its ranking,
     or for INTERDOC_FREQ the words whose document count reaches it."""
     if spec.kind is Measure.INTERDOC_FREQ:
         return frozenset(w for w, count in index.doc_counts.items() if count >= spec.threshold)
-    ranking = index.rankings.get(spec.kind)
-    if ranking is None:
-        ranking = index.rankings[spec.kind] = _ranking(index, spec.kind)
-    ends, words = ranking
+    ends, words = ranking(index, spec.kind)
     return frozenset(words[: ends[spec.threshold]])

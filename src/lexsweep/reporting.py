@@ -3,12 +3,15 @@
 Each renderer returns the text of one file.  Output is byte-deterministic:
 fixed 4-decimal formatting, LF line endings, UTF-8, and no timestamps or
 external references, so identical sweeps serialize identically.  A report
-bundle renders every file before it writes any, so a render error leaves
-no partial report behind.
+bundle is written all or nothing, so an error leaves no partial report
+behind.
 """
 
 from __future__ import annotations
 
+import errno
+import os
+import shutil
 from itertools import chain, count
 from pathlib import Path
 from typing import Iterable, Sequence
@@ -206,8 +209,13 @@ def render_svg(result: SweepResult) -> str:
 def write_report_bundle(results: Iterable[SweepResult], out_dir) -> None:
     """Write per-measure CSV and SVG files plus summary.csv into a directory.
 
-    Every file is rendered before any is written, so a render error writes
-    nothing, not even the directory.
+    All or nothing: every file is rendered, then written into a new
+    directory beside out_dir.  A new out_dir is that directory, renamed.
+    Into an existing one the nine files are moved one by one, after a
+    check that none of their names is taken by a directory or other
+    non-regular file; its other files are left alone.  A render error, a
+    write error or a blocked name leaves out_dir as it was, and the
+    temporary directory is always removed.
     """
     results = list(results)
     files = {}
@@ -216,6 +224,21 @@ def write_report_bundle(results: Iterable[SweepResult], out_dir) -> None:
         files[f"{result.measure.value}.svg"] = render_svg(result)
     files["summary.csv"] = format_summary_csv(results)
     out_dir = Path(out_dir)
-    out_dir.mkdir(parents=True, exist_ok=True)
-    for name, text in files.items():
-        (out_dir / name).write_bytes(text.encode("utf-8"))
+    out_dir.parent.mkdir(parents=True, exist_ok=True)
+    # not tempfile.mkdtemp: its mode 0700 would become the report's on rename
+    staging = out_dir.parent / f".{out_dir.name}.{os.urandom(8).hex()}.tmp"
+    staging.mkdir()
+    try:
+        for name, text in files.items():
+            (staging / name).write_bytes(text.encode("utf-8"))
+        if not out_dir.is_dir():
+            staging.rename(out_dir)
+            return
+        for name in files:
+            target = out_dir / name
+            if target.exists() and not target.is_file():
+                raise FileExistsError(errno.EEXIST, "not a regular file", str(target))
+        for name in files:
+            os.replace(staging / name, out_dir / name)
+    finally:
+        shutil.rmtree(staging, ignore_errors=True)

@@ -4,16 +4,25 @@ Percent measures sweep 1..100; inter-document frequency sweeps 1 up to
 the largest per-word document count found in the data.  Each sweep also
 selects two operating points: the globally best F-measure, and the best
 F-measure among rows whose fallout stays under a configurable cap.
+
+A row needs only two counts, |E| and |E ∩ M|, so a sweep never builds an
+extraction per threshold (the sort-once ROC sweep of Fawcett 2006).  A
+percent measure reads both counts at ends[t] of its ranking, from a prefix
+sum of gold membership; idf sums a histogram of document counts, and one
+of the gold words' document counts, from the largest count down.  The two
+selected rows are then rebuilt by extract + evaluate, as a check.
 """
 
 from __future__ import annotations
 
+from collections import Counter
 from dataclasses import dataclass
+from itertools import accumulate
 
 from .corpus import Corpus
-from .evaluation import MetricsRow, evaluate
+from .evaluation import MetricsRow, evaluate, score
 from .lexicon import CorpusIndex, FilterConfig, build_index
-from .measures import Measure, MeasureSpec, extract
+from .measures import Measure, MeasureSpec, extract, ranking
 
 DEFAULT_FALLOUT_CAP = 0.10
 
@@ -47,19 +56,46 @@ def _best(rows, fallout_cap=None) -> MetricsRow | None:
     return best
 
 
+def _counts(index: CorpusIndex, kind: Measure) -> list[tuple[int, int]]:
+    """(|E|, |E ∩ M|) at each threshold, ascending."""
+    gold, thresholds = index.gold, threshold_range(kind, index)
+    if kind.is_percent:
+        ends, words = ranking(index, kind)
+        hits = list(accumulate((word in gold for word in words), initial=0))
+        return [(ends[t], hits[ends[t]]) for t in thresholds]
+    doc_counts = index.doc_counts
+    sizes = Counter(doc_counts.values())
+    gold_sizes = Counter(doc_counts[word] for word in gold)
+    down = thresholds[::-1]
+    extracted = accumulate(sizes[count] for count in down)
+    hits = accumulate(gold_sizes[count] for count in down)
+    return list(zip(extracted, hits))[::-1]
+
+
+def _check(index: CorpusIndex, row: MetricsRow | None) -> None:
+    if row is None:
+        return
+    spec = MeasureSpec(kind=row.measure, threshold=row.threshold)
+    if evaluate(extract(index, spec), index.gold, index.words, spec) != row:
+        raise RuntimeError(f"counted sweep row disagrees with extract + evaluate at {spec}")
+
+
 def _sweep_index(index: CorpusIndex, kind: Measure, fallout_cap: float) -> SweepResult:
-    gold, universe = index.gold, index.words
-    rows = []
-    for threshold in threshold_range(kind, index):
-        spec = MeasureSpec(kind=kind, threshold=threshold)
-        rows.append(evaluate(extract(index, spec), gold, universe, spec))
+    universe_size, gold_size = len(index.words), len(index.gold)
+    rows = tuple(
+        score(MeasureSpec(kind=kind, threshold=t), size, hits, universe_size, gold_size)
+        for t, (size, hits) in zip(threshold_range(kind, index), _counts(index, kind), strict=True)
+    )
     best = _best(rows)
     assert best is not None  # range is non-empty whenever the universe is
+    best_under_cap = _best(rows, fallout_cap)
+    _check(index, best)
+    _check(index, best_under_cap)
     return SweepResult(
         measure=kind,
-        rows=tuple(rows),
+        rows=rows,
         best_f=best,
-        best_f_under_cap=_best(rows, fallout_cap),
+        best_f_under_cap=best_under_cap,
         fallout_cap=fallout_cap,
     )
 

@@ -401,6 +401,16 @@ class TestSweep:
         assert main(args) == 1
         assert "error:" in capsys.readouterr().err
 
+    def test_blocked_target_leaves_out_dir_as_it_was(self, corpus_arg, tmp_path, capsys):
+        out_dir = tmp_path / "report"
+        (out_dir / "df.csv").mkdir(parents=True)
+        (out_dir / "cf.csv").write_text("old", encoding="utf-8")
+        before = sorted(p.relative_to(tmp_path) for p in tmp_path.rglob("*"))
+        assert main(["sweep", *corpus_arg, "--out", str(out_dir)]) == 1
+        assert "error:" in capsys.readouterr().err
+        assert sorted(p.relative_to(tmp_path) for p in tmp_path.rglob("*")) == before
+        assert (out_dir / "cf.csv").read_text(encoding="utf-8") == "old"
+
     def test_one_document_corpus(self, tmp_path, capsys):
         tokens = [{"surface": "attacked", "lemma": "attack", "pos": "VERB"}]
         data = {

@@ -242,3 +242,31 @@ class TestBundle:
         with pytest.raises(ValueError, match="cannot plot"):
             write_report_bundle(all_sweeps, out_dir)
         assert not out_dir.exists()
+
+    def test_existing_out_dir_keeps_other_files(self, all_sweeps, tmp_path):
+        out_dir = tmp_path / "report"
+        out_dir.mkdir()
+        (out_dir / "notes.txt").write_text("keep me", encoding="utf-8")
+        (out_dir / "cf.csv").write_text("stale", encoding="utf-8")
+        write_report_bundle(all_sweeps, out_dir)
+        assert sorted(p.name for p in out_dir.iterdir()) == sorted(BUNDLE_NAMES + ["notes.txt"])
+        assert (out_dir / "notes.txt").read_text(encoding="utf-8") == "keep me"
+        assert (out_dir / "cf.csv").read_text(encoding="utf-8").startswith(CSV_HEADER)
+        assert [p.name for p in tmp_path.iterdir()] == ["report"]
+
+    def test_write_error_leaves_nothing(self, all_sweeps, tmp_path, monkeypatch):
+        write_bytes = reporting.Path.write_bytes
+        written = []
+
+        def failing_write(path, data):
+            if len(written) == 4:
+                raise OSError("disk full")
+            written.append(path)
+            return write_bytes(path, data)
+
+        monkeypatch.setattr(reporting.Path, "write_bytes", failing_write)
+        with pytest.raises(OSError, match="disk full"):
+            write_report_bundle(all_sweeps, tmp_path / "report")
+        assert len(written) == 4
+        assert list(tmp_path.iterdir()) == []
+

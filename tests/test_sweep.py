@@ -1,4 +1,9 @@
+import dataclasses
+from collections import Counter
+
 import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
 
 from lexsweep import (
     Corpus,
@@ -8,12 +13,15 @@ from lexsweep import (
     MeasureSpec,
     Sentence,
     Token,
+    WordKeySource,
     build_index,
     evaluate,
     run_all_sweeps,
     threshold_range,
 )
+from lexsweep import sweep
 
+from gencorpus import POS_POOL, WORD_POOL, corpora
 from oracle import oracle_extract, oracle_gold, oracle_universe
 
 
@@ -139,3 +147,101 @@ def test_cap_row_never_exceeds_cap(fixture_corpus, config):
             if result.best_f_under_cap is not None:
                 assert result.best_f_under_cap.fallout <= cap
                 assert result.best_f_under_cap.f_measure <= result.best_f.f_measure
+
+
+def _corpus(*documents):
+    """A corpus of documents given as lists of (annotated, words) sentences, every word a noun."""
+    return Corpus(
+        name="example",
+        documents=tuple(
+            Document(
+                id=f"d{d}",
+                sentences=tuple(
+                    Sentence(
+                        id=f"s{s}",
+                        annotated=annotated,
+                        tokens=tuple(Token(word, "NOUN") for word in words),
+                    )
+                    for s, (annotated, words) in enumerate(sentences)
+                ),
+            )
+            for d, sentences in enumerate(documents)
+        ),
+    )
+
+
+ONE_DOCUMENT = _corpus([(True, ["attack", "hostage"]), (False, ["storm", "storm", "rain"])])
+EMPTY_GOLD = _corpus([(False, ["storm", "rain"])], [(False, ["storm", "flood"])])
+GOLD_IS_UNIVERSE = _corpus([(True, ["attack", "police"])], [(True, ["attack"])])
+WORD_IN_EVERY_DOCUMENT = _corpus(
+    [(True, ["storm", "attack"])], [(False, ["storm"])], [(False, ["rain", "storm"])]
+)
+
+filter_configs = st.builds(
+    FilterConfig,
+    stopwords=st.frozensets(st.sampled_from(WORD_POOL[:30]), max_size=4),
+    content_pos=st.frozensets(st.sampled_from(POS_POOL), min_size=1),
+    word_key_source=st.sampled_from(WordKeySource),
+    case_fold=st.booleans(),
+)
+
+
+@settings(max_examples=100, deadline=None)
+@given(corpus=corpora(), config=filter_configs)
+@example(corpus=ONE_DOCUMENT, config=FilterConfig())
+@example(corpus=EMPTY_GOLD, config=FilterConfig())
+@example(corpus=GOLD_IS_UNIVERSE, config=FilterConfig())
+@example(corpus=WORD_IN_EVERY_DOCUMENT, config=FilterConfig())
+def test_counted_rows_equal_oracle_reevaluation(corpus, config):
+    universe = oracle_universe(corpus, config)
+    if not universe:
+        with pytest.raises(ValueError, match="no content vocabulary"):
+            run_all_sweeps(corpus, config)
+        return
+    gold = oracle_gold(corpus, config)
+    for result in run_all_sweeps(corpus, config):
+        thresholds = [row.threshold for row in result.rows]
+        assert thresholds == list(range(1, len(thresholds) + 1))
+        if result.measure.is_percent:
+            assert len(thresholds) == 100
+        else:
+            # idf rows run up to the largest count with a non-empty extraction
+            last = MeasureSpec(result.measure, len(thresholds) + 1)
+            assert result.rows[-1].extracted_size > 0
+            assert oracle_extract(corpus, config, last) == frozenset()
+        for row in result.rows:
+            spec = MeasureSpec(result.measure, row.threshold)
+            expected = evaluate(oracle_extract(corpus, config, spec), gold, universe, spec)
+            assert row == expected, f"{spec.kind.value}@{spec.threshold}"
+
+
+class TestCountedSweep:
+    """Rows are scored from counts; extract and evaluate only re-check the selected rows."""
+
+    def test_extract_and_evaluate_at_most_twice_per_measure(
+        self, fixture_corpus, config, monkeypatch
+    ):
+        calls = Counter()
+
+        def counting(name, fn):
+            def counted(*args):
+                calls[name, args[-1].kind] += 1
+                return fn(*args)
+
+            return counted
+
+        monkeypatch.setattr(sweep, "extract", counting("extract", sweep.extract))
+        monkeypatch.setattr(sweep, "evaluate", counting("evaluate", sweep.evaluate))
+        run_all_sweeps(fixture_corpus, config)
+        assert {kind for _, kind in calls} == set(Measure)
+        assert max(calls.values()) <= 2
+
+    def test_a_wrong_evaluate_is_caught(self, fixture_corpus, config, monkeypatch):
+        def halving(*args):
+            row = evaluate(*args)
+            return dataclasses.replace(row, precision=row.precision / 2)
+
+        monkeypatch.setattr(sweep, "evaluate", halving)
+        with pytest.raises(RuntimeError, match="disagrees with extract"):
+            run_all_sweeps(fixture_corpus, config)
+
