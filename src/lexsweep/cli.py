@@ -215,8 +215,8 @@ def _cmd_evaluate(args) -> int:
 
 
 def _cmd_sweep(args) -> int:
-    corpus = load_corpus(args.corpus)
-    results = run_all_sweeps(corpus, _filter_config(args), fallout_cap=args.fallout_cap)
+    index = build_index(load_corpus(args.corpus), _filter_config(args))
+    results = run_all_sweeps(index, fallout_cap=args.fallout_cap)
     write_report_bundle(results, args.out)
 
     header = f"{'measure':<8} {'thr':>5} {'F':>7} {'fallout':>8}   {'thr*':>5} {'F*':>7} {'fallout*':>8}"

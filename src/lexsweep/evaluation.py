@@ -18,11 +18,7 @@ from .measures import Measure, MeasureSpec
 
 @dataclass(frozen=True)
 class MetricsRow:
-    """One evaluated (measure, threshold) operating point.
-
-    empty_extraction flags rows whose precision is the 0.0/1.0 convention
-    value rather than a ratio.
-    """
+    """One evaluated (measure, threshold) operating point."""
 
     measure: Measure
     threshold: int
@@ -34,7 +30,6 @@ class MetricsRow:
     true_positives: int
     universe_size: int
     gold_size: int
-    empty_extraction: bool = False
 
 
 def f_measure(precision: float, recall: float) -> float:
@@ -94,5 +89,4 @@ def score(
         true_positives=true_positives,
         universe_size=universe_size,
         gold_size=gold_size,
-        empty_extraction=not extracted_size,
     )

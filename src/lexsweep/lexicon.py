@@ -58,6 +58,8 @@ class CorpusIndex:
     key set equals the corpus document ids); doc_counts is the number
     of documents each word occurs in.  words is the universe U and gold
     the keys of annotated sentences, the gold lexicon M (a subset of U).
+    rankings caches each measure's ranking, which extract and the sweep
+    both read.
     """
 
     collection_freq: dict[str, int]
@@ -74,13 +76,8 @@ class CorpusIndex:
         return frozenset(self.collection_freq)
 
     @cached_property
-    def max_doc_count(self) -> int:
-        """Largest number of documents any single word occurs in (0 if empty)."""
-        return max(self.doc_counts.values(), default=0)
-
-    @cached_property
     def rankings(self) -> dict:
-        """Percent-measure word rankings, filled in on first use by measures.ranking."""
+        """Each measure's (ends, words) ranking, filled in on first use by measures.ranking."""
         return {}
 
 

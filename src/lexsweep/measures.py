@@ -11,10 +11,10 @@ order), and its top n% keeps exactly ceil(n/100 * L) of its L words.  So
 extractions are nested in the threshold and each word has one entry
 threshold, the smallest percent that keeps it: 100*r // L + 1 for the
 word at 0-based rank r, minimised over documents for document frequency
-and tf.idf.  For inter-document frequency it is the word's document
-count, read the other way, so that extraction is a filter of the counts.
-Each percent measure's words are sorted once by entry threshold and cached
-on the CorpusIndex, so each of its extractions is a prefix of that list.
+and tf.idf.  For inter-document frequency it is the largest threshold that
+keeps the word, its document count.  Each measure's words are sorted once
+by entry threshold and cached on the CorpusIndex, so each of its
+extractions is a prefix of that list.
 """
 
 from __future__ import annotations
@@ -84,8 +84,14 @@ def _enter(entries: dict[str, int], scored: Iterable[tuple[str, float]]) -> None
 
 
 def _ranking(index: CorpusIndex, kind: Measure) -> tuple[list[int], list[str]]:
-    """ends[t], how many of a percent measure's words enter at or below t,
-    and the words in order of entry threshold."""
+    """ends[t], how many words a measure keeps at threshold t, and the words
+    in order of entry, so that words[:ends[t]] is its extraction at t."""
+    if kind is Measure.INTERDOC_FREQ:
+        counts = index.doc_counts
+        sizes = Counter(counts.values())
+        # ends[t] counts the words in at least t documents
+        kept = accumulate(sizes[t] for t in range(max(sizes, default=0), -1, -1))
+        return list(kept)[::-1], sorted(counts, key=counts.__getitem__, reverse=True)
     entries: dict[str, int] = {}
     if kind is Measure.COLLECTION_FREQ:
         _enter(entries, index.collection_freq.items())
@@ -102,7 +108,7 @@ def _ranking(index: CorpusIndex, kind: Measure) -> tuple[list[int], list[str]]:
 
 
 def ranking(index: CorpusIndex, kind: Measure) -> tuple[list[int], list[str]]:
-    """A percent measure's (ends, words), built on first use and cached on the index."""
+    """A measure's (ends, words), built on first use and cached on the index."""
     cached = index.rankings.get(kind)
     if cached is None:
         cached = index.rankings[kind] = _ranking(index, kind)
@@ -111,8 +117,8 @@ def ranking(index: CorpusIndex, kind: Measure) -> tuple[list[int], list[str]]:
 
 def extract(index: CorpusIndex, spec: MeasureSpec) -> Lexicon:
     """The words a measure keeps at a threshold: a prefix of its ranking,
-    or for INTERDOC_FREQ the words whose document count reaches it."""
-    if spec.kind is Measure.INTERDOC_FREQ:
-        return frozenset(w for w, count in index.doc_counts.items() if count >= spec.threshold)
+    empty for an idf threshold above every word's document count."""
     ends, words = ranking(index, spec.kind)
+    if spec.threshold >= len(ends):
+        return frozenset()
     return frozenset(words[: ends[spec.threshold]])

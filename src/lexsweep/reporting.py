@@ -12,7 +12,8 @@ from __future__ import annotations
 import errno
 import os
 import shutil
-from itertools import chain, count
+from contextlib import suppress
+from itertools import chain, count, takewhile
 from pathlib import Path
 from typing import Iterable, Sequence
 
@@ -215,7 +216,8 @@ def write_report_bundle(results: Iterable[SweepResult], out_dir) -> None:
     check that none of their names is taken by a directory or other
     non-regular file; its other files are left alone.  A render error, a
     write error or a blocked name leaves out_dir as it was, and the
-    temporary directory is always removed.
+    temporary directory, and any missing parents of out_dir made for it,
+    are removed.
     """
     results = list(results)
     files = {}
@@ -224,21 +226,28 @@ def write_report_bundle(results: Iterable[SweepResult], out_dir) -> None:
         files[f"{result.measure.value}.svg"] = render_svg(result)
     files["summary.csv"] = format_summary_csv(results)
     out_dir = Path(out_dir)
-    out_dir.parent.mkdir(parents=True, exist_ok=True)
+    missing = list(takewhile(lambda parent: not parent.exists(), out_dir.parents))
     # not tempfile.mkdtemp: its mode 0700 would become the report's on rename
     staging = out_dir.parent / f".{out_dir.name}.{os.urandom(8).hex()}.tmp"
-    staging.mkdir()
     try:
-        for name, text in files.items():
-            (staging / name).write_bytes(text.encode("utf-8"))
-        if not out_dir.is_dir():
-            staging.rename(out_dir)
-            return
-        for name in files:
-            target = out_dir / name
-            if target.exists() and not target.is_file():
-                raise FileExistsError(errno.EEXIST, "not a regular file", str(target))
-        for name in files:
-            os.replace(staging / name, out_dir / name)
+        out_dir.parent.mkdir(parents=True, exist_ok=True)
+        staging.mkdir()
+        try:
+            for name, text in files.items():
+                (staging / name).write_bytes(text.encode("utf-8"))
+            if not out_dir.is_dir():
+                staging.rename(out_dir)
+                return
+            for name in files:
+                target = out_dir / name
+                if target.exists() and not target.is_file():
+                    raise FileExistsError(errno.EEXIST, "not a regular file", str(target))
+            for name in files:
+                os.replace(staging / name, out_dir / name)
+        finally:
+            shutil.rmtree(staging, ignore_errors=True)
     finally:
-        shutil.rmtree(staging, ignore_errors=True)
+        if not out_dir.exists():
+            for parent in missing:  # innermost first
+                with suppress(OSError):
+                    parent.rmdir()

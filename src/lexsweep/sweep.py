@@ -6,22 +6,19 @@ selects two operating points: the globally best F-measure, and the best
 F-measure among rows whose fallout stays under a configurable cap.
 
 A row needs only two counts, |E| and |E ∩ M|, so a sweep never builds an
-extraction per threshold (the sort-once ROC sweep of Fawcett 2006).  A
-percent measure reads both counts at ends[t] of its ranking, from a prefix
-sum of gold membership; idf sums a histogram of document counts, and one
-of the gold words' document counts, from the largest count down.  The two
-selected rows are then rebuilt by extract + evaluate, as a check.
+extraction per threshold (the sort-once ROC sweep of Fawcett 2006).  Every
+measure reads both counts at ends[t] of its cached ranking, from a prefix
+sum of gold membership.  The two selected rows are then rebuilt by
+extract + evaluate, as a check.
 """
 
 from __future__ import annotations
 
-from collections import Counter
 from dataclasses import dataclass
 from itertools import accumulate
 
-from .corpus import Corpus
 from .evaluation import MetricsRow, evaluate, score
-from .lexicon import CorpusIndex, FilterConfig, build_index
+from .lexicon import CorpusIndex
 from .measures import Measure, MeasureSpec, extract, ranking
 
 DEFAULT_FALLOUT_CAP = 0.10
@@ -40,9 +37,7 @@ class SweepResult:
 
 def threshold_range(kind: Measure, index: CorpusIndex) -> range:
     """Full threshold range for a measure over the given index."""
-    if kind.is_percent:
-        return range(1, 101)
-    return range(1, index.max_doc_count + 1)
+    return range(1, len(ranking(index, kind)[0]))
 
 
 def _best(rows, fallout_cap=None) -> MetricsRow | None:
@@ -58,18 +53,9 @@ def _best(rows, fallout_cap=None) -> MetricsRow | None:
 
 def _counts(index: CorpusIndex, kind: Measure) -> list[tuple[int, int]]:
     """(|E|, |E ∩ M|) at each threshold, ascending."""
-    gold, thresholds = index.gold, threshold_range(kind, index)
-    if kind.is_percent:
-        ends, words = ranking(index, kind)
-        hits = list(accumulate((word in gold for word in words), initial=0))
-        return [(ends[t], hits[ends[t]]) for t in thresholds]
-    doc_counts = index.doc_counts
-    sizes = Counter(doc_counts.values())
-    gold_sizes = Counter(doc_counts[word] for word in gold)
-    down = thresholds[::-1]
-    extracted = accumulate(sizes[count] for count in down)
-    hits = accumulate(gold_sizes[count] for count in down)
-    return list(zip(extracted, hits))[::-1]
+    ends, words = ranking(index, kind)
+    hits = list(accumulate((word in index.gold for word in words), initial=0))
+    return [(end, hits[end]) for end in ends[1:]]
 
 
 def _check(index: CorpusIndex, row: MetricsRow | None) -> None:
@@ -101,14 +87,12 @@ def _sweep_index(index: CorpusIndex, kind: Measure, fallout_cap: float) -> Sweep
 
 
 def run_all_sweeps(
-    corpus: Corpus,
-    config: FilterConfig,
-    fallout_cap: float = DEFAULT_FALLOUT_CAP,
+    index: CorpusIndex, fallout_cap: float = DEFAULT_FALLOUT_CAP
 ) -> list[SweepResult]:
-    """Sweep all four measures over a shared index, in Measure order."""
+    """Sweep all four measures over one index, in Measure order; the
+    rankings they build stay cached on it for later extracts."""
     if not 0.0 <= fallout_cap <= 1.0:
         raise ValueError(f"fallout cap must be in [0, 1], got {fallout_cap}")
-    index = build_index(corpus, config)
     if not index.words:
         raise ValueError("no content vocabulary")
     return [_sweep_index(index, kind, fallout_cap) for kind in Measure]

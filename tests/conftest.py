@@ -2,7 +2,8 @@ import pathlib
 
 import pytest
 
-from lexsweep import Corpus, FilterConfig, load_corpus
+from lexsweep import FilterConfig, load_corpus
+from lexsweep.corpus import Corpus
 
 DATA_DIR = pathlib.Path(__file__).parent / "data"
 

@@ -7,7 +7,7 @@ import random
 
 from hypothesis import strategies as st
 
-from lexsweep import Corpus, Document, Sentence, Token
+from lexsweep.corpus import Corpus, Document, Sentence, Token
 
 WORD_POOL = tuple(f"w{i:02d}" for i in range(100))
 POS_POOL = ("VERB", "NOUN", "DET", "ADJ")

@@ -13,7 +13,9 @@ from __future__ import annotations
 import math
 from fractions import Fraction
 
-from lexsweep import Corpus, FilterConfig, Lexicon, Measure, MeasureSpec, normalize
+from lexsweep import FilterConfig, Measure, MeasureSpec
+from lexsweep.corpus import Corpus
+from lexsweep.lexicon import Lexicon, normalize
 
 
 def oracle_universe(corpus: Corpus, config: FilterConfig) -> Lexicon:

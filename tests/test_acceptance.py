@@ -11,22 +11,19 @@ import time
 import pytest
 
 from lexsweep import (
-    Corpus,
-    Document,
     FilterConfig,
     Measure,
     MeasureSpec,
-    Sentence,
-    Token,
     build_gold,
     build_index,
-    build_universe,
     evaluate,
     extract,
-    f_measure,
     run_all_sweeps,
     write_report_bundle,
 )
+from lexsweep.corpus import Corpus, Document, Sentence, Token
+from lexsweep.evaluation import f_measure
+from lexsweep.lexicon import build_universe
 from lexsweep.cli import main
 
 from gencorpus import seeded_corpora, with_all_annotated, without_sentence
@@ -93,9 +90,9 @@ def test_monotonicity_suite():
 
         if not universe:
             with pytest.raises(ValueError):
-                run_all_sweeps(corpus, CONFIG)
+                run_all_sweeps(build_index(corpus, CONFIG))
             continue
-        for result in run_all_sweeps(corpus, CONFIG):
+        for result in run_all_sweeps(build_index(corpus, CONFIG)):
             rows = result.rows
             if result.measure.is_percent:
                 for earlier, later in zip(rows, rows[1:]):
@@ -232,7 +229,7 @@ def test_scale_check(tmp_path):
     assert len(index.words) == 7185
 
     start = time.perf_counter()
-    results = run_all_sweeps(corpus, CONFIG)
+    results = run_all_sweeps(build_index(corpus, CONFIG))
     write_report_bundle(results, tmp_path / "report")
     elapsed = time.perf_counter() - start
     assert elapsed < 10.0, f"sweep took {elapsed:.1f} s"
@@ -272,7 +269,7 @@ GOLDEN_BUNDLES = {
 @pytest.mark.parametrize("name", sorted(GOLDEN_BUNDLES))
 def test_golden_bundle(name, fixture_corpus, tmp_path):
     corpus = fixture_corpus if name == "fixture" else build_large_corpus()
-    write_report_bundle(run_all_sweeps(corpus, CONFIG), tmp_path)
+    write_report_bundle(run_all_sweeps(build_index(corpus, CONFIG)), tmp_path)
     digests = {
         path.name: hashlib.sha256(path.read_bytes()).hexdigest()
         for path in tmp_path.iterdir()

@@ -6,19 +6,17 @@ import warnings
 import pytest
 from hypothesis import given
 
-from lexsweep import (
+from lexsweep import FilterConfig, corpus_to_dict, parse_corpus
+from lexsweep.corpus import (
     Corpus,
     CorpusValidationError,
     CorpusParseError,
     CorpusWarning,
     Document,
-    FilterConfig,
     Sentence,
     Token,
     compute_stats,
-    corpus_to_dict,
     dumps_corpus,
-    parse_corpus,
 )
 
 from gencorpus import corpora

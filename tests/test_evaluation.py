@@ -2,7 +2,8 @@ import pytest
 from hypothesis import given
 from hypothesis import strategies as st
 
-from lexsweep import Measure, MeasureSpec, evaluate, f_measure
+from lexsweep import Measure, MeasureSpec, evaluate
+from lexsweep.evaluation import f_measure
 
 SPEC = MeasureSpec(Measure.COLLECTION_FREQ, 50)
 
@@ -50,7 +51,6 @@ class TestEvaluate:
         assert row.extracted_size == 3
         assert row.universe_size == 4
         assert row.gold_size == 2
-        assert not row.empty_extraction
 
     def test_perfect_extraction(self):
         words = frozenset({"a", "b"})
@@ -64,7 +64,7 @@ class TestEvaluate:
         assert row.recall == 0.0
         assert row.f_measure == 0.0
         assert row.fallout == 0.0
-        assert row.empty_extraction
+        assert row.extracted_size == 0
 
     def test_empty_extraction_empty_gold(self):
         universe = frozenset({"a", "b"})
@@ -73,7 +73,7 @@ class TestEvaluate:
         assert row.recall == 1.0
         assert row.f_measure == 1.0
         assert row.fallout == 0.0
-        assert row.empty_extraction
+        assert row.extracted_size == 0
 
     def test_empty_gold_recall_is_one(self):
         universe = frozenset({"a", "b"})

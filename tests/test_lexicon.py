@@ -4,21 +4,17 @@ import pytest
 from hypothesis import given
 from hypothesis import strategies as st
 
-from lexsweep import (
-    CorpusWarning,
-    FilterConfig,
-    Token,
+from lexsweep import FilterConfig, Measure, build_gold, build_index, run_all_sweeps
+from lexsweep import lexicon
+from lexsweep.corpus import Corpus, CorpusWarning, Document, Sentence, Token, compute_stats
+from lexsweep.lexicon import (
     WordKeySource,
-    build_gold,
-    build_index,
     build_universe,
-    compute_stats,
     format_lexicon,
     load_stopwords,
     normalize,
-    run_all_sweeps,
 )
-from lexsweep import lexicon
+from lexsweep.sweep import threshold_range
 from lexsweep.cli import main
 
 from gencorpus import POS_POOL, corpora, with_all_annotated, without_sentence
@@ -102,13 +98,11 @@ class TestBuilders:
         }
         assert index.doc_counts == {"attack": 1, "hostage": 2, "negotiate": 1, "police": 1}
         assert index.n_documents == 2
-        assert index.max_doc_count == 2
+        assert threshold_range(Measure.INTERDOC_FREQ, index) == range(1, 3)
         assert index.words == {"attack", "hostage", "negotiate", "police"}
         assert index.gold == {"attack", "hostage"}
 
     def test_index_covers_contentless_documents(self, config):
-        from lexsweep import Corpus, Document, Sentence
-
         corpus = Corpus(
             name="half-empty",
             documents=(
@@ -131,12 +125,10 @@ class TestBuilders:
         assert index.n_documents == 2
 
     def test_empty_index(self, config):
-        from lexsweep import Corpus, Document
-
         corpus = Corpus(name="bare", documents=(Document(id="d1", sentences=()),))
         index = build_index(corpus, config)
         assert index.words == frozenset()
-        assert index.max_doc_count == 0
+        assert threshold_range(Measure.INTERDOC_FREQ, index) == range(1, 1)
         assert index.n_documents == 1
 
     @given(corpus=corpora())
@@ -200,7 +192,7 @@ class TestOnePass:
     @pytest.mark.parametrize(
         "run",
         [
-            lambda corpus, config, path: run_all_sweeps(corpus, config),
+            lambda corpus, config, path: run_all_sweeps(build_index(corpus, config)),
             lambda corpus, config, path: compute_stats(corpus, config),
             lambda corpus, config, path: main(
                 ["evaluate", "--corpus", str(path), "--measure", "idf", "--threshold", "1"]

@@ -7,15 +7,9 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from lexsweep import (
-    CorpusIndex,
-    FilterConfig,
-    Measure,
-    MeasureSpec,
-    build_index,
-    build_universe,
-    extract,
-)
+from lexsweep import FilterConfig, Measure, MeasureSpec, build_index, extract, run_all_sweeps
+from lexsweep import measures
+from lexsweep.lexicon import CorpusIndex, build_universe
 
 from gencorpus import build_random_corpus, corpora
 from oracle import oracle_extract
@@ -166,12 +160,20 @@ class TestMeasures:
         ):
             assert extract(fixture_index, spec) == extract(fixture_index, spec)
 
-    def test_ranking_cached_without_changing_the_index(self, fixture_corpus, config):
+    def test_sweep_rankings_serve_later_extracts(
+        self, fixture_corpus, config, monkeypatch
+    ):
         index = build_index(fixture_corpus, config)
+        run_all_sweeps(index)
+        assert set(index.rankings) == set(Measure)
+        assert index == build_index(fixture_corpus, config)
+
+        def rebuild(index, kind):
+            raise AssertionError(f"{kind.value} ranking built again")
+
+        monkeypatch.setattr(measures, "_ranking", rebuild)
         for kind in Measure:
             at(index, kind, 1)
-        assert set(index.rankings) == {CF, DF, TFIDF}
-        assert index == build_index(fixture_corpus, config)
 
 
 class TestMeasureSpec:

@@ -5,17 +5,11 @@ import xml.etree.ElementTree as ET
 
 import pytest
 
-from lexsweep import (
-    CSV_HEADER,
-    Measure,
-    MetricsRow,
-    SweepResult,
-    render_svg,
-    run_all_sweeps,
-    write_report_bundle,
-)
+from lexsweep import Measure, build_index, run_all_sweeps, write_report_bundle
 from lexsweep import reporting
-from lexsweep.reporting import _x_ticks, format_csv, format_summary_csv
+from lexsweep.evaluation import MetricsRow
+from lexsweep.reporting import CSV_HEADER, _x_ticks, format_csv, format_summary_csv, render_svg
+from lexsweep.sweep import SweepResult
 
 BUNDLE_NAMES = [
     "cf.csv",
@@ -32,7 +26,7 @@ BUNDLE_NAMES = [
 
 @pytest.fixture(scope="module")
 def all_sweeps(fixture_corpus, config):
-    return run_all_sweeps(fixture_corpus, config)
+    return run_all_sweeps(build_index(fixture_corpus, config))
 
 
 @pytest.fixture(scope="module")
@@ -270,3 +264,19 @@ class TestBundle:
         assert len(written) == 4
         assert list(tmp_path.iterdir()) == []
 
+
+    def test_write_error_removes_the_parents_it_made(self, all_sweeps, tmp_path, monkeypatch):
+        def failing_write(path, data):
+            raise OSError("disk full")
+
+        (tmp_path / "a").mkdir()
+        monkeypatch.setattr(reporting.Path, "write_bytes", failing_write)
+        with pytest.raises(OSError, match="disk full"):
+            write_report_bundle(all_sweeps, tmp_path / "a" / "b" / "c" / "report")
+        assert [p.name for p in tmp_path.iterdir()] == ["a"]
+        assert list((tmp_path / "a").iterdir()) == []
+
+    def test_new_parents_are_made(self, all_sweeps, tmp_path):
+        out_dir = tmp_path / "a" / "b" / "report"
+        write_report_bundle(all_sweeps, out_dir)
+        assert sorted(p.name for p in out_dir.iterdir()) == BUNDLE_NAMES

@@ -5,21 +5,11 @@ import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
-from lexsweep import (
-    Corpus,
-    Document,
-    FilterConfig,
-    Measure,
-    MeasureSpec,
-    Sentence,
-    Token,
-    WordKeySource,
-    build_index,
-    evaluate,
-    run_all_sweeps,
-    threshold_range,
-)
+from lexsweep import FilterConfig, Measure, MeasureSpec, build_index, evaluate, run_all_sweeps
 from lexsweep import sweep
+from lexsweep.corpus import Corpus, Document, Sentence, Token
+from lexsweep.lexicon import WordKeySource
+from lexsweep.sweep import threshold_range
 
 from gencorpus import POS_POOL, WORD_POOL, corpora
 from oracle import oracle_extract, oracle_gold, oracle_universe
@@ -27,7 +17,8 @@ from oracle import oracle_extract, oracle_gold, oracle_universe
 
 def sweep_of(corpus, config, kind, **kwargs):
     """The sweep for one measure, selected from run_all_sweeps."""
-    return next(r for r in run_all_sweeps(corpus, config, **kwargs) if r.measure is kind)
+    index = build_index(corpus, config)
+    return next(r for r in run_all_sweeps(index, **kwargs) if r.measure is kind)
 
 
 class TestThresholdRange:
@@ -80,7 +71,7 @@ class TestFixtureSweeps:
     def test_rows_match_oracle_reevaluation(self, fixture_corpus, config):
         universe = oracle_universe(fixture_corpus, config)
         gold = oracle_gold(fixture_corpus, config)
-        for result in run_all_sweeps(fixture_corpus, config):
+        for result in run_all_sweeps(build_index(fixture_corpus, config)):
             for row in result.rows:
                 spec = MeasureSpec(result.measure, row.threshold)
                 expected = evaluate(
@@ -89,13 +80,13 @@ class TestFixtureSweeps:
                 assert row == expected
 
     def test_run_all_sweeps_order_and_cap(self, fixture_corpus, config):
-        results = run_all_sweeps(fixture_corpus, config, fallout_cap=0.25)
+        results = run_all_sweeps(build_index(fixture_corpus, config), fallout_cap=0.25)
         assert [r.measure for r in results] == list(Measure)
         assert all(r.fallout_cap == 0.25 for r in results)
 
     def test_repeat_runs_identical(self, fixture_corpus, config):
-        first = run_all_sweeps(fixture_corpus, config)
-        second = run_all_sweeps(fixture_corpus, config)
+        first = run_all_sweeps(build_index(fixture_corpus, config))
+        second = run_all_sweeps(build_index(fixture_corpus, config))
         assert first == second
 
     def test_monotone_metrics_along_percent_sweeps(self, fixture_corpus, config):
@@ -118,7 +109,7 @@ class TestValidation:
     @pytest.mark.parametrize("cap", [-0.1, 1.5])
     def test_fallout_cap_bounds(self, fixture_corpus, config, cap):
         with pytest.raises(ValueError, match="fallout cap"):
-            run_all_sweeps(fixture_corpus, config, fallout_cap=cap)
+            run_all_sweeps(build_index(fixture_corpus, config), fallout_cap=cap)
 
     def test_zero_cap_allowed(self, fixture_corpus, config):
         result = sweep_of(fixture_corpus, config, Measure.COLLECTION_FREQ, fallout_cap=0.0)
@@ -138,12 +129,12 @@ class TestValidation:
             ),
         )
         with pytest.raises(ValueError, match="no content vocabulary"):
-            run_all_sweeps(corpus, config)
+            run_all_sweeps(build_index(corpus, config))
 
 
 def test_cap_row_never_exceeds_cap(fixture_corpus, config):
     for cap in (0.0, 0.1, 0.5, 1.0):
-        for result in run_all_sweeps(fixture_corpus, config, fallout_cap=cap):
+        for result in run_all_sweeps(build_index(fixture_corpus, config), fallout_cap=cap):
             if result.best_f_under_cap is not None:
                 assert result.best_f_under_cap.fallout <= cap
                 assert result.best_f_under_cap.f_measure <= result.best_f.f_measure
@@ -196,10 +187,10 @@ def test_counted_rows_equal_oracle_reevaluation(corpus, config):
     universe = oracle_universe(corpus, config)
     if not universe:
         with pytest.raises(ValueError, match="no content vocabulary"):
-            run_all_sweeps(corpus, config)
+            run_all_sweeps(build_index(corpus, config))
         return
     gold = oracle_gold(corpus, config)
-    for result in run_all_sweeps(corpus, config):
+    for result in run_all_sweeps(build_index(corpus, config)):
         thresholds = [row.threshold for row in result.rows]
         assert thresholds == list(range(1, len(thresholds) + 1))
         if result.measure.is_percent:
@@ -232,7 +223,7 @@ class TestCountedSweep:
 
         monkeypatch.setattr(sweep, "extract", counting("extract", sweep.extract))
         monkeypatch.setattr(sweep, "evaluate", counting("evaluate", sweep.evaluate))
-        run_all_sweeps(fixture_corpus, config)
+        run_all_sweeps(build_index(fixture_corpus, config))
         assert {kind for _, kind in calls} == set(Measure)
         assert max(calls.values()) <= 2
 
@@ -243,5 +234,5 @@ class TestCountedSweep:
 
         monkeypatch.setattr(sweep, "evaluate", halving)
         with pytest.raises(RuntimeError, match="disagrees with extract"):
-            run_all_sweeps(fixture_corpus, config)
+            run_all_sweeps(build_index(fixture_corpus, config))
 
