@@ -15,6 +15,7 @@ import gc
 import json
 import warnings
 from dataclasses import dataclass
+from json.decoder import WHITESPACE, scanstring
 from typing import IO, Any, Union
 
 
@@ -34,7 +35,7 @@ class CorpusWarning(UserWarning):
     """Non-fatal oddity in corpus data (empty sentence, unknown field)."""
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class Token:
     """One tagged token: surface form, optional lemma, POS tag."""
 
@@ -49,7 +50,7 @@ class Token:
             raise CorpusValidationError("empty token pos")
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class Sentence:
     """A sentence with its annotation flag and optional message-type label."""
 
@@ -66,7 +67,7 @@ class Sentence:
             )
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class Document:
     id: str
     sentences: tuple[Sentence, ...]
@@ -81,7 +82,7 @@ class Document:
             seen.add(sentence.id)
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class Corpus:
     name: str
     documents: tuple[Document, ...]
@@ -119,15 +120,14 @@ _SENTENCE_FIELDS = {"id", "annotated", "message_type", "tokens"}
 _DOCUMENT_FIELDS = {"id", "sentences"}
 _CORPUS_FIELDS = {"name", "documents"}
 
+_DECODER = json.JSONDecoder()
 
-def _warn_unknown_fields(obj: dict, known: set[str], where: str) -> None:
+
+def _warn_unknown_fields(obj: dict, known: set[str], where: str, warned: list[str]) -> None:
+    if obj.keys() <= known:
+        return
     unknown = sorted(set(obj) - known)
-    if unknown:
-        warnings.warn(
-            f"ignoring unknown field(s) {', '.join(repr(f) for f in unknown)} in {where}",
-            CorpusWarning,
-            stacklevel=3,
-        )
+    warned.append(f"ignoring unknown field(s) {', '.join(repr(f) for f in unknown)} in {where}")
 
 
 def _require(obj: dict, field: str, kind: type, where: str) -> Any:
@@ -145,6 +145,8 @@ def _require(obj: dict, field: str, kind: type, where: str) -> Any:
 
 def _check_utf8(value: str, field: str, where: str) -> str:
     """Reject strings that cannot be written as UTF-8 (lone surrogates from JSON escapes)."""
+    if value.isascii():
+        return value
     try:
         value.encode("utf-8")
     except UnicodeEncodeError:
@@ -154,10 +156,10 @@ def _check_utf8(value: str, field: str, where: str) -> str:
     return value
 
 
-def _parse_token(obj: Any, where: str) -> Token:
+def _parse_token(obj: Any, where: str, warned: list[str]) -> Token:
     if not isinstance(obj, dict):
         raise CorpusValidationError(f"token in {where} must be an object")
-    _warn_unknown_fields(obj, _TOKEN_FIELDS, where)
+    _warn_unknown_fields(obj, _TOKEN_FIELDS, where, warned)
     surface = _require(obj, "surface", str, where).strip()
     pos = _require(obj, "pos", str, where).strip()
     lemma = obj.get("lemma")
@@ -171,7 +173,9 @@ def _parse_token(obj: Any, where: str) -> Token:
         raise CorpusValidationError(f"{exc} in {where}") from None
 
 
-def _parse_tokens(raw_tokens: list, here: str, seen: dict[tuple, Token]) -> tuple[Token, ...]:
+def _parse_tokens(
+    raw_tokens: list, here: str, seen: dict[tuple, Token], warned: list[str]
+) -> tuple[Token, ...]:
     """Parse a sentence's tokens, sharing one Token per (surface, pos, lemma) in seen.
 
     Only a token dict with known fields alone is looked up; the first
@@ -188,19 +192,21 @@ def _parse_tokens(raw_tokens: list, here: str, seen: dict[tuple, Token]) -> tupl
             except TypeError:  # an unhashable value, which _parse_token rejects
                 values = None
         if token is None:
-            token = _parse_token(raw, f"{here}, token {i}")
+            token = _parse_token(raw, f"{here}, token {i}", warned)
             if values is not None:
                 seen[values] = token
         tokens.append(token)
     return tuple(tokens)
 
 
-def _parse_sentence(obj: Any, where: str, seen: dict[tuple, Token]) -> Sentence:
+def _parse_sentence(
+    obj: Any, where: str, seen: dict[tuple, Token], warned: list[str]
+) -> Sentence:
     if not isinstance(obj, dict):
         raise CorpusValidationError(f"sentence in {where} must be an object")
     sent_id = _require(obj, "id", str, where)
     here = f"{where}, sentence {sent_id!r}"
-    _warn_unknown_fields(obj, _SENTENCE_FIELDS, here)
+    _warn_unknown_fields(obj, _SENTENCE_FIELDS, here, warned)
     annotated = _require(obj, "annotated", bool, here)
     message_type = obj.get("message_type")
     if message_type is not None and not isinstance(message_type, str):
@@ -209,20 +215,30 @@ def _parse_sentence(obj: Any, where: str, seen: dict[tuple, Token]) -> Sentence:
         _check_utf8(message_type, "message_type", here)
     raw_tokens = _require(obj, "tokens", list, here)
     if not raw_tokens:
-        warnings.warn(f"empty sentence {sent_id!r} in {where}", CorpusWarning, stacklevel=3)
-    tokens = _parse_tokens(raw_tokens, here, seen)
+        warned.append(f"empty sentence {sent_id!r} in {where}")
+    tokens = _parse_tokens(raw_tokens, here, seen, warned)
     return Sentence(id=sent_id, annotated=annotated, tokens=tokens, message_type=message_type)
 
 
-def _parse_document(obj: Any, where: str, seen: dict[tuple, Token]) -> Document:
+def _parse_document(
+    obj: Any, where: str, seen: dict[tuple, Token], warned: list[str]
+) -> Document:
     if not isinstance(obj, dict):
         raise CorpusValidationError(f"document in {where} must be an object")
     doc_id = _require(obj, "id", str, where)
     here = f"document {doc_id!r}"
-    _warn_unknown_fields(obj, _DOCUMENT_FIELDS, here)
+    _warn_unknown_fields(obj, _DOCUMENT_FIELDS, here, warned)
     raw_sentences = _require(obj, "sentences", list, here)
-    sentences = tuple(_parse_sentence(s, here, seen) for s in raw_sentences)
+    sentences = tuple(_parse_sentence(s, here, seen, warned) for s in raw_sentences)
     return Document(id=doc_id, sentences=sentences)
+
+
+def _check_top_level(data: Any, warned: list[str]) -> tuple[str, list]:
+    """Return the corpus name and documents list, checked in the order both paths share."""
+    if not isinstance(data, dict):
+        raise CorpusValidationError("top-level corpus value must be an object")
+    _warn_unknown_fields(data, _CORPUS_FIELDS, "corpus", warned)
+    return _require(data, "name", str, "corpus"), _require(data, "documents", list, "corpus")
 
 
 def parse_corpus(source: Union[bytes, str, IO[bytes], IO[str]]) -> Corpus:
@@ -231,7 +247,12 @@ def parse_corpus(source: Union[bytes, str, IO[bytes], IO[str]]) -> Corpus:
     Raises CorpusParseError on malformed or too deeply nested JSON, and
     CorpusValidationError on schema or invariant violations (including
     text fields with lone surrogates).  Unknown fields and empty sentences
-    produce CorpusWarning.
+    produce CorpusWarning, emitted once each when the parse ends.
+
+    Documents are decoded and converted one at a time, so the raw JSON of
+    only one document is alive at once.  Errors and warnings are those of
+    decoding the whole text first: any text the streamed walk does not
+    finish is parsed again that way.
     """
     if hasattr(source, "read"):
         source = source.read()  # type: ignore[union-attr]
@@ -240,20 +261,104 @@ def parse_corpus(source: Union[bytes, str, IO[bytes], IO[str]]) -> Corpus:
             source = source.decode("utf-8")
         except UnicodeDecodeError as exc:
             raise CorpusParseError(f"corpus file is not valid UTF-8: {exc}") from exc
+    warned: list[str] = []
     # The raw dicts and the tree hold no reference cycles, so the cyclic
     # collector would only walk the millions of new objects again and again.
     collector_was_on = gc.isenabled()
     gc.disable()
     try:
-        return _parse_json(source)
+        corpus = _stream_corpus(source, warned)
+        if corpus is None:
+            warned = []
+            corpus = _parse_whole_text(source, warned)
+        return corpus
     finally:
         if collector_was_on:
             gc.enable()
+        for message in warned:
+            warnings.warn(message, CorpusWarning, stacklevel=2)
 
 
-def _parse_json(source: str) -> Corpus:
+def _stream_corpus(text: str, warned: list[str]) -> Corpus | None:
+    """Walk the top-level object, converting each document as soon as it is decoded.
+
+    Returns None, with the exception dropped, when the text fails to decode,
+    has a layout the walk does not take (a top level that is not an object,
+    a repeated top-level key) or fails a check, so that the caller reruns
+    the whole-text path and reports exactly what it reports: a syntax error
+    anywhere still beats an earlier validation error.
+    """
     try:
-        data = json.loads(source)
+        return _walk_top_level(text, warned)
+    except (ValueError, RecursionError, CorpusValidationError):
+        return None
+
+
+def _walk_top_level(text: str, warned: list[str]) -> Corpus:
+    """Read the top-level object member by member, streaming its documents array.
+
+    Raises ValueError (JSONDecodeError among them) wherever json.loads would
+    fail or keep a different value.
+    """
+    skip = WHITESPACE.match  # JSON's [ \t\n\r]*, as json.loads skips it
+    fields: dict[str, Any] = {}
+    document_warnings: list[str] = []
+    pos = skip(text).end()
+    if not text.startswith("{", pos):
+        raise ValueError("top level is not an object")
+    pos = skip(text, pos + 1).end()
+    more = not text.startswith("}", pos)
+    while more:
+        if not text.startswith('"', pos):
+            raise ValueError("expecting a key")
+        key, pos = scanstring(text, pos + 1)
+        if key in fields:
+            raise ValueError("repeated key")  # json.loads keeps the last value
+        pos = skip(text, pos).end()
+        if not text.startswith(":", pos):
+            raise ValueError("expecting ':'")
+        pos = skip(text, pos + 1).end()
+        if key == "documents" and text.startswith("[", pos):
+            fields[key], pos = _walk_documents(text, pos + 1, document_warnings)
+        else:
+            fields[key], pos = _DECODER.raw_decode(text, pos)
+        pos = skip(text, pos).end()
+        more = text.startswith(",", pos)
+        if more:
+            pos = skip(text, pos + 1).end()
+        elif not text.startswith("}", pos):
+            raise ValueError("expecting ',' or '}'")
+    if skip(text, pos + 1).end() != len(text):
+        raise ValueError("extra data")
+    name, documents = _check_top_level(fields, warned)
+    warned += document_warnings
+    return Corpus(name=name, documents=tuple(documents))
+
+
+def _walk_documents(text: str, pos: int, warned: list[str]) -> tuple[list[Document], int]:
+    """Convert the documents array whose '[' ends just before pos; return them and the end."""
+    skip = WHITESPACE.match
+    seen: dict[tuple, Token] = {}
+    documents: list[Document] = []
+    pos = skip(text, pos).end()
+    if text.startswith("]", pos):
+        return documents, pos + 1
+    while True:
+        raw, pos = _DECODER.raw_decode(text, pos)
+        documents.append(_parse_document(raw, f"documents[{len(documents)}]", seen, warned))
+        del raw  # free this document's dicts before the next one is decoded
+        pos = skip(text, pos).end()
+        if text.startswith("]", pos):
+            return documents, pos + 1
+        if not text.startswith(",", pos):
+            raise ValueError("expecting ',' or ']'")
+        pos = skip(text, pos + 1).end()
+
+
+def _parse_whole_text(text: str, warned: list[str]) -> Corpus:
+    """Decode the whole text with json.loads, then convert it."""
+    try:
+        data = json.loads(text)
     except json.JSONDecodeError as exc:
         raise CorpusParseError(
             f"malformed JSON at line {exc.lineno}, column {exc.colno}: {exc.msg}"
@@ -264,14 +369,10 @@ def _parse_json(source: str) -> Corpus:
         # e.g. an integer literal longer than the int-to-str digit limit
         raise CorpusParseError(f"malformed JSON: {exc}") from exc
 
-    if not isinstance(data, dict):
-        raise CorpusValidationError("top-level corpus value must be an object")
-    _warn_unknown_fields(data, _CORPUS_FIELDS, "corpus")
-    name = _require(data, "name", str, "corpus")
-    raw_documents = _require(data, "documents", list, "corpus")
+    name, raw_documents = _check_top_level(data, warned)
     seen: dict[tuple, Token] = {}
     documents = tuple(
-        _parse_document(d, f"documents[{i}]", seen) for i, d in enumerate(raw_documents)
+        _parse_document(d, f"documents[{i}]", seen, warned) for i, d in enumerate(raw_documents)
     )
     return Corpus(name=name, documents=documents)
 

@@ -1,12 +1,14 @@
+import dataclasses
 import gc
 import io
 import json
+import tracemalloc
 import warnings
 
 import pytest
-from hypothesis import given
+from hypothesis import example, given, strategies as st
 
-from lexsweep import FilterConfig, corpus_to_dict, parse_corpus
+from lexsweep import CorpusError, FilterConfig, corpus_to_dict, parse_corpus
 from lexsweep.corpus import (
     Corpus,
     CorpusValidationError,
@@ -15,11 +17,14 @@ from lexsweep.corpus import (
     Document,
     Sentence,
     Token,
+    _parse_whole_text,
+    _stream_corpus,
     compute_stats,
     dumps_corpus,
 )
 
 from gencorpus import corpora
+from test_acceptance import build_large_corpus
 
 
 def minimal_corpus_dict(**overrides) -> dict:
@@ -263,6 +268,130 @@ class TestCollectorState:
             parse_corpus(text)
         assert gc.isenabled() is collector
 
+    @pytest.mark.parametrize(
+        "text, error",
+        [
+            ('{"name": "x", "documents": [{"id": 1}, {"id": "d", ]}', CorpusParseError),
+            ('{"name": "x", "documents": [{"id": 1}]}', CorpusValidationError),
+        ],
+        ids=["parse-error-after-invalid-document", "invalid-document"],
+    )
+    def test_restored_after_mid_stream_error(self, collector, text, error):
+        with pytest.raises(error):
+            parse_corpus(text)
+        assert gc.isenabled() is collector
+
+    def test_restored_after_fallback(self, collector):
+        data = minimal_corpus_dict()
+        text = json.dumps(data)[:-1] + ', "documents": ' + json.dumps(data["documents"]) + "}"
+        assert _stream_corpus(text, []) is None  # a repeated top-level key
+        assert parse_corpus(text) == parse_corpus(json.dumps(data))
+        assert gc.isenabled() is collector
+
+
+def whole_text(text: str) -> Corpus:
+    """parse_corpus as it was before streaming: json.loads on the whole text, then convert."""
+    warned: list[str] = []
+    try:
+        return _parse_whole_text(text, warned)
+    finally:
+        for message in warned:
+            warnings.warn(message, CorpusWarning)
+
+
+def outcome(parse, text: str):
+    """The corpus or (exception class, message), and the warnings, each as emitted."""
+    with warnings.catch_warnings(record=True) as caught:
+        warnings.simplefilter("always")
+        try:
+            result = parse(text)
+        except CorpusError as exc:
+            result = (type(exc), str(exc))
+    return result, [(w.category, str(w.message)) for w in caught]
+
+
+def sharing(corpus: Corpus) -> list[int]:
+    """For each token in corpus order, the position of the first token that is the same object."""
+    first: dict[int, int] = {}
+    tokens = [tok for _, sentence in corpus.sentences() for tok in sentence.tokens]
+    return [first.setdefault(id(tok), i) for i, tok in enumerate(tokens)]
+
+
+BLANKS = st.text(alphabet=" \t\n\r", max_size=2)
+# raw documents that warn, fail a check, or repeat a generated document id
+ODD_DOCUMENTS = st.sampled_from(
+    [
+        {"id": "odd", "sentences": [], "note": 1},
+        {"id": "odd", "sentences": [{"id": "s", "annotated": True, "tokens": []}]},
+        {"id": "d0", "sentences": []},
+        {"id": 1},
+        7,
+    ]
+)
+EXTRA_FIELDS = st.dictionaries(
+    st.sampled_from(["version", "meta", "zz"]),
+    st.sampled_from([1, "v", None, [], [1, [2]], {"a": [{}]}]),
+    max_size=2,
+)
+
+
+@st.composite
+def corpus_texts(draw: st.DrawFn) -> str:
+    """Corpus JSON with drawn whitespace, key order, unknown top-level fields and odd documents."""
+    data = corpus_to_dict(draw(corpora(max_docs=3)))
+    documents = data["documents"]
+    for odd in draw(st.lists(ODD_DOCUMENTS, max_size=2)):
+        documents.insert(draw(st.integers(0, len(documents))), odd)
+    separators = draw(st.sampled_from([(",", ":"), (", ", ": ")]))
+
+    def value_text(key, value) -> str:
+        if key != "documents":
+            return json.dumps(value, separators=separators)
+        items = [draw(BLANKS) + json.dumps(d, separators=separators) + draw(BLANKS) for d in value]
+        return "[" + (",".join(items) or draw(BLANKS)) + "]"
+
+    members = [
+        draw(BLANKS) + json.dumps(key) + draw(BLANKS) + ":" + draw(BLANKS)
+        + value_text(key, value) + draw(BLANKS)
+        for key, value in draw(st.permutations([*data.items(), *draw(EXTRA_FIELDS).items()]))
+    ]
+    return draw(BLANKS) + "{" + (",".join(members) or draw(BLANKS)) + "}" + draw(BLANKS)
+
+
+VALID = json.dumps(minimal_corpus_dict())
+
+
+class TestStreaming:
+    @given(text=corpus_texts())
+    @example(text='{"name": "x", "documents": [{"id": 1}, {"id": "d", ]}')
+    @example(text=VALID[:-1] + ', "documents": [{"id": "d2", "sentences": []}]}')
+    @example(text=VALID + " {}")
+    @example(text=VALID[:-3])
+    @example(text="\ufeff" + VALID)
+    @example(text="[" + VALID + "]")
+    @example(text='{"name": "x", "documents": {}}')
+    @example(text='{"name": "x", "documents": []}')
+    def test_matches_whole_text_path(self, text):
+        streamed, streamed_warnings = outcome(parse_corpus, text)
+        whole, whole_warnings = outcome(whole_text, text)
+        assert streamed == whole
+        assert streamed_warnings == whole_warnings
+        if isinstance(whole, Corpus):
+            assert sharing(streamed) == sharing(whole)
+            top_keys = [key for key, _ in json.loads(text, object_pairs_hook=lambda pairs: pairs)]
+            if len(set(top_keys)) == len(top_keys):
+                assert _stream_corpus(text, []) is not None
+
+    def test_peak_memory_is_a_small_multiple_of_the_text(self):
+        text = json.dumps(corpus_to_dict(build_large_corpus()), separators=(",", ":"))
+        tracemalloc.start()
+        try:
+            parse_corpus(text)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < 4 * len(text)
+
 
 class TestInvariants:
     def test_duplicate_document_id(self):
@@ -298,6 +427,15 @@ class TestInvariants:
             Token(surface="", pos="NOUN")
         with pytest.raises(CorpusValidationError, match="^empty token pos$"):
             Token(surface="run", pos=" ")
+
+    def test_tree_classes_are_frozen_and_slotted(self):
+        token = Token("run", "VERB")
+        document = Document("d1", ())
+        for obj in (token, Sentence("s1", False, (token,)), document, Corpus("c", (document,))):
+            assert not hasattr(obj, "__dict__")
+            with pytest.raises(dataclasses.FrozenInstanceError):
+                setattr(obj, dataclasses.fields(obj)[0].name, "changed")
+        assert hash(token) == hash(Token("run", "VERB"))
 
     def test_sentence_constructor_validates(self):
         with pytest.raises(CorpusValidationError, match="message_type"):
