@@ -151,7 +151,8 @@ def build_index(corpus: Corpus, config: FilterConfig) -> CorpusIndex:
 
 
 def load_stopwords(source: Union[str, "os.PathLike[str]", IO[str]]) -> frozenset[str]:
-    """Read a stopword file: one word per line, '#' lines are comments.
+    """Read a stopword file: one word per line, '#' lines are comments,
+    and a leading byte-order mark is dropped.
 
     Entries are expected to already be in normalized form (the filter
     matches them against normalized keys).
@@ -162,7 +163,7 @@ def load_stopwords(source: Union[str, "os.PathLike[str]", IO[str]]) -> frozenset
         with open(source, "r", encoding="utf-8") as handle:
             text = handle.read()
     words = set()
-    for line in text.splitlines():
+    for line in text.removeprefix("\ufeff").splitlines():
         line = line.strip()
         if not line or line.startswith("#"):
             continue

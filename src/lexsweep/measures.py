@@ -12,9 +12,12 @@ extractions are nested in the threshold and each word has one entry
 threshold, the smallest percent that keeps it: 100*r // L + 1 for the
 word at 0-based rank r, minimised over documents for document frequency
 and tf.idf.  For inter-document frequency it is the largest threshold that
-keeps the word, its document count.  Each measure's words are sorted once
-by entry threshold and cached on the CorpusIndex, so each of its
-extractions is a prefix of that list.
+keeps the word, its document count.  A percent measure sorts each list
+by word and then, stably, by score, and puts each word in the bucket of
+the threshold at which that list admits it; merged in threshold order, the
+buckets give the measure's words in order of entry.  Inter-document
+frequency sorts its words by document count.  The ranking is cached on the
+CorpusIndex, so each extraction is a prefix of it.
 """
 
 from __future__ import annotations
@@ -24,6 +27,7 @@ from collections import Counter
 from dataclasses import dataclass
 from enum import Enum
 from itertools import accumulate
+from operator import mul
 from typing import Iterable
 
 from .lexicon import CorpusIndex, Lexicon
@@ -75,12 +79,28 @@ class MeasureSpec:
             )
 
 
-def _enter(entries: dict[str, int], scored: Iterable[tuple[str, float]]) -> None:
-    """Lower each word's entry threshold to its percent rank in one list."""
-    ranked = sorted(scored, key=lambda pair: (-pair[1], pair[0]))
-    length = len(ranked)
-    for rank, (word, _) in enumerate(ranked):
-        entries[word] = min(entries.get(word, 100), 100 * rank // length + 1)
+def _by_score(scores: dict[str, float]) -> list[str]:
+    """A list's words by score descending, then word ascending: a stable
+    sort by word, then a stable sort by score (reverse keeps it stable)."""
+    return sorted(sorted(scores), key=scores.__getitem__, reverse=True)
+
+
+def _entries(lists: Iterable[list[str]]) -> tuple[list[int], list[str]]:
+    """ends and words for the union of ranked lists.  Bucket t holds the
+    words each list adds at threshold t, ranked[ceil((t-1)L/100):ceil(tL/100)];
+    merged in order of t, a word keeps its place from its first bucket."""
+    buckets: list[list[str]] = [[] for _ in range(100)]
+    for ranked in lists:
+        length = len(ranked)
+        cuts = [-(-t * length // 100) for t in range(101)]
+        for bucket, start, end in zip(buckets, cuts, cuts[1:]):
+            bucket += ranked[start:end]
+    entries: dict[str, None] = {}
+    ends = [0]
+    for bucket in buckets:
+        entries.update(dict.fromkeys(bucket))
+        ends.append(len(entries))
+    return ends, list(entries)
 
 
 def _ranking(index: CorpusIndex, kind: Measure) -> tuple[list[int], list[str]]:
@@ -92,19 +112,16 @@ def _ranking(index: CorpusIndex, kind: Measure) -> tuple[list[int], list[str]]:
         # ends[t] counts the words in at least t documents
         kept = accumulate(sizes[t] for t in range(max(sizes, default=0), -1, -1))
         return list(kept)[::-1], sorted(counts, key=counts.__getitem__, reverse=True)
-    entries: dict[str, int] = {}
     if kind is Measure.COLLECTION_FREQ:
-        _enter(entries, index.collection_freq.items())
-    elif kind is Measure.DOCUMENT_FREQ:
-        for doc_freq in index.per_document.values():
-            _enter(entries, doc_freq.items())
-    else:
-        n, doc_counts = index.n_documents, index.doc_counts
-        for doc_freq in index.per_document.values():
-            _enter(entries, [(w, tf * math.log(n / doc_counts[w])) for w, tf in doc_freq.items()])
-    sizes = Counter(entries.values())
-    ends = list(accumulate((sizes[t] for t in range(1, 101)), initial=0))
-    return ends, sorted(entries, key=entries.__getitem__)
+        return _entries([_by_score(index.collection_freq)])
+    if kind is Measure.DOCUMENT_FREQ:
+        return _entries(map(_by_score, index.per_document.values()))
+    n = index.n_documents
+    idf = {word: math.log(n / count) for word, count in index.doc_counts.items()}
+    return _entries(
+        _by_score(dict(zip(doc_freq, map(mul, doc_freq.values(), map(idf.__getitem__, doc_freq)))))
+        for doc_freq in index.per_document.values()
+    )
 
 
 def ranking(index: CorpusIndex, kind: Measure) -> tuple[list[int], list[str]]:

@@ -54,7 +54,7 @@ def _best(rows, fallout_cap=None) -> MetricsRow | None:
 def _counts(index: CorpusIndex, kind: Measure) -> list[tuple[int, int]]:
     """(|E|, |E ∩ M|) at each threshold, ascending."""
     ends, words = ranking(index, kind)
-    hits = list(accumulate((word in index.gold for word in words), initial=0))
+    hits = list(accumulate(map(index.gold.__contains__, words), initial=0))
     return [(end, hits[end]) for end in ends[1:]]
 
 

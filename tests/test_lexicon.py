@@ -227,6 +227,15 @@ class TestStopwords:
         path.write_text("say\ngo\n", encoding="utf-8")
         assert load_stopwords(path) == {"say", "go"}
 
+    def test_leading_bom_is_dropped(self, tmp_path):
+        path = tmp_path / "stop.txt"
+        path.write_bytes(b"\xef\xbb\xbfword0001\nword0002\n")
+        assert load_stopwords(path) == {"word0001", "word0002"}
+        with open(path, encoding="utf-8") as handle:
+            assert load_stopwords(handle) == {"word0001", "word0002"}
+        # only one leading mark is a BOM; a second belongs to the word
+        assert load_stopwords(io.StringIO("\ufeff\ufeffsay\n")) == {"\ufeffsay"}
+
     def test_stopwords_shrink_universe(self, fixture_corpus):
         config = FilterConfig(stopwords=frozenset({"police"}))
         assert build_universe(fixture_corpus, config) == {"attack", "hostage", "negotiate"}

@@ -4,7 +4,7 @@ from collections import Counter
 from fractions import Fraction
 
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from lexsweep import FilterConfig, Measure, MeasureSpec, build_index, extract, run_all_sweeps
@@ -103,6 +103,49 @@ class TestTopFraction:
         size = math.ceil(Fraction(percent, 100) * len(counts))
         for kind in (CF, DF, TFIDF):
             assert len(at(index, kind, percent)) == size
+
+
+def one_document(length: int) -> list[dict[str, int]]:
+    return [{f"w{i}": i % 4 + 1 for i in range(length)}]
+
+
+class TestLongLists:
+    """Lists of more than 100 words, where one threshold admits several
+    words of a list, against a brute-force union of each list's tops."""
+
+    @settings(max_examples=30, deadline=None)
+    @given(
+        documents=st.lists(
+            st.dictionaries(
+                st.integers(0, 399).map(lambda i: f"w{i}"), st.integers(1, 4), max_size=300
+            ),
+            min_size=1,
+            max_size=3,
+        )
+    )
+    @example(documents=one_document(99))
+    @example(documents=one_document(100))
+    @example(documents=one_document(101))
+    @example(documents=one_document(250))
+    def test_extract_matches_brute_force(self, documents):
+        index = make_index(*documents)
+        n = len(documents)
+        tfidf = [
+            {word: tf * math.log(n / index.doc_counts[word]) for word, tf in doc.items()}
+            for doc in documents
+        ]
+        for kind, lists in ((CF, [index.collection_freq]), (DF, documents), (TFIDF, tfidf)):
+            orders = [sorted(scores, key=lambda word: (-scores[word], word)) for scores in lists]
+            for percent in range(1, 101):
+                expected = set()
+                for order in orders:
+                    expected.update(order[: math.ceil(Fraction(percent, 100) * len(order))])
+                assert at(index, kind, percent) == expected, f"{kind.value}@{percent}"
+            ends, words = measures.ranking(index, kind)
+            assert ends[0] == 0
+            assert ends[100] == len(index.words)
+            assert all(low <= high for low, high in zip(ends, ends[1:]))
+            assert sorted(words) == sorted(index.words)
 
 
 class TestMeasures:
