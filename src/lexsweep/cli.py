@@ -214,6 +214,13 @@ def _cmd_evaluate(args) -> int:
     return 0
 
 
+def _format_cap(cap: float) -> str:
+    """The cap with two decimals when they read back as exactly the cap
+    (0.10, 1.00), else its repr (0.125), so no rounded cap is printed."""
+    text = f"{cap:.2f}"
+    return text if float(text) == cap else repr(cap)
+
+
 def _cmd_sweep(args) -> int:
     index = build_index(load_corpus(args.corpus), _filter_config(args))
     results = run_all_sweeps(index, fallout_cap=args.fallout_cap)
@@ -241,11 +248,11 @@ def _cmd_sweep(args) -> int:
         winner = max(capped_results, key=lambda r: r.best_f_under_cap.f_measure)
         capped = winner.best_f_under_cap
         print(
-            f"best F under fallout cap {args.fallout_cap:.2f}: {winner.measure.value} "
+            f"best F under fallout cap {_format_cap(args.fallout_cap)}: {winner.measure.value} "
             f"@ {capped.threshold} (F={capped.f_measure:.4f}, fallout={capped.fallout:.4f})"
         )
     else:
-        print(f"best F under fallout cap {args.fallout_cap:.2f}: none")
+        print(f"best F under fallout cap {_format_cap(args.fallout_cap)}: none")
     print(f"report written to {args.out}")
     return 0
 

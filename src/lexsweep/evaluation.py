@@ -6,10 +6,17 @@ division-by-zero conventions are explicit: an empty extraction scores
 precision 1.0 against an empty gold set and 0.0 otherwise, recall of an
 empty gold set is 1.0, and fallout is 0.0 when the universe equals the
 gold set.
+
+evaluate checks that E and M are subsets of U.  E ⊆ U is checked on every
+call.  M ⊆ U is checked once per pair of exact frozenset objects: the last
+pair that passed is held by weak references, so a later call with the
+same two objects skips the O(|M|) walk and repeated points on one index
+cost O(|E|).  Any other pair, a mutable set included, is checked again.
 """
 
 from __future__ import annotations
 
+import weakref
 from dataclasses import dataclass
 
 from .lexicon import Lexicon
@@ -39,20 +46,34 @@ def f_measure(precision: float, recall: float) -> float:
     return 2 * precision * recall / (precision + recall)
 
 
+# Weak references to the last (gold, universe) pair of frozensets that
+# passed the gold check; immutable, so the pair stays valid while both live.
+_checked_pair: tuple[weakref.ref, weakref.ref] | None = None
+
+
+def _check_subset(name: str, words: Lexicon, universe: Lexicon) -> None:
+    if not words <= universe:
+        stray = sorted(words - universe)[:5]
+        raise ValueError(f"{name} lexicon is not a subset of the universe: {stray}")
+
+
 def evaluate(
     extracted: Lexicon, gold: Lexicon, universe: Lexicon, spec: MeasureSpec
 ) -> MetricsRow:
     """Score an extracted lexicon against the gold lexicon within the universe.
 
     Both extracted and gold must be subsets of the universe; fallout is the
-    share of non-gold vocabulary wrongly extracted.
+    share of non-gold vocabulary wrongly extracted.  The gold check is
+    skipped when gold and universe are the same two frozensets that passed
+    it last (see the module docstring).
     """
-    if not extracted <= universe:
-        stray = sorted(extracted - universe)[:5]
-        raise ValueError(f"extracted lexicon is not a subset of the universe: {stray}")
-    if not gold <= universe:
-        stray = sorted(gold - universe)[:5]
-        raise ValueError(f"gold lexicon is not a subset of the universe: {stray}")
+    global _checked_pair
+    _check_subset("extracted", extracted, universe)
+    checked = _checked_pair
+    if checked is None or checked[0]() is not gold or checked[1]() is not universe:
+        _check_subset("gold", gold, universe)
+        if type(gold) is frozenset and type(universe) is frozenset:
+            _checked_pair = weakref.ref(gold), weakref.ref(universe)
 
     return score(spec, len(extracted), len(extracted & gold), len(universe), len(gold))
 

@@ -85,13 +85,15 @@ def normalize(token: Token, config: FilterConfig) -> str | None:
     """Return the token's normalized word key, or None if filtered out.
 
     Non-content POS tags and stopwords are filtered; the stopword check
-    runs on the normalized key.
+    runs on the normalized key.  A lemma that is blank after stripping is
+    treated as absent, as the parser does, so the surface is used.
     """
     if token.pos not in config.content_pos:
         return None
+    key = ""
     if config.word_key_source is WordKeySource.LEMMA_THEN_SURFACE and token.lemma:
         key = token.lemma.strip()
-    else:
+    if not key:
         key = token.surface.strip()
     if config.case_fold:
         key = key.casefold()

@@ -26,7 +26,7 @@ import math
 from collections import Counter
 from dataclasses import dataclass
 from enum import Enum
-from itertools import accumulate
+from itertools import accumulate, islice
 from operator import mul
 from typing import Iterable
 
@@ -134,8 +134,9 @@ def ranking(index: CorpusIndex, kind: Measure) -> tuple[list[int], list[str]]:
 
 def extract(index: CorpusIndex, spec: MeasureSpec) -> Lexicon:
     """The words a measure keeps at a threshold: a prefix of its ranking,
-    empty for an idf threshold above every word's document count."""
+    read in place without copying the list, and empty for an idf threshold
+    above every word's document count."""
     ends, words = ranking(index, spec.kind)
     if spec.threshold >= len(ends):
         return frozenset()
-    return frozenset(words[: ends[spec.threshold]])
+    return frozenset(islice(words, ends[spec.threshold]))

@@ -387,6 +387,13 @@ class TestSweep:
         assert main(["sweep", *corpus_arg, "--fallout-cap", "1.0", "--out", str(out_dir)]) == 0
         assert "best F under fallout cap 1.00: cf @ 26" in capsys.readouterr().out
 
+    def test_fallout_cap_printed_unrounded(self, corpus_arg, tmp_path, capsys):
+        out_dir = tmp_path / "capped"
+        assert main(["sweep", *corpus_arg, "--fallout-cap", "0.125", "--out", str(out_dir)]) == 0
+        out = capsys.readouterr().out
+        assert "best F under fallout cap 0.125: cf @ 26" in out
+        assert "cap 0.12:" not in out
+
     def test_fallout_cap_out_of_range(self, corpus_arg, tmp_path, capsys):
         args = ["sweep", *corpus_arg, "--fallout-cap", "1.5", "--out", str(tmp_path / "x")]
         assert main(args) == 2

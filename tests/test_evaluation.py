@@ -1,15 +1,19 @@
+import gc
+import weakref
+
 import pytest
-from hypothesis import given
+from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from lexsweep import Measure, MeasureSpec, evaluate
-from lexsweep.evaluation import f_measure
+from lexsweep import evaluation
+from lexsweep.evaluation import f_measure, score
 
 SPEC = MeasureSpec(Measure.COLLECTION_FREQ, 50)
 
-word_sets = st.sets(st.sampled_from([f"w{i}" for i in range(12)]), max_size=12).map(
-    frozenset
-)
+WORDS = [f"w{i}" for i in range(12)]
+
+word_sets = st.sets(st.sampled_from(WORDS), max_size=12).map(frozenset)
 
 
 class TestFMeasure:
@@ -127,3 +131,94 @@ class TestEvaluate:
         row_large = evaluate(larger, gold, universe, SPEC)
         assert row_small.recall <= row_large.recall
         assert row_small.fallout <= row_large.fallout
+
+
+class TestSubsetCheck:
+    """E ⊆ U is checked on every call, M ⊆ U once per pair of frozensets."""
+
+    def test_bad_gold_raises_on_every_call(self):
+        universe = frozenset(["a", "b"])
+        good, bad = frozenset(["a"]), frozenset(["z"])
+        for _ in range(3):
+            evaluate(frozenset(), good, universe, SPEC)
+            with pytest.raises(ValueError, match="gold.*'z'"):
+                evaluate(frozenset(), bad, universe, SPEC)
+            # the gold that just passed, against a universe that lacks it
+            with pytest.raises(ValueError, match="gold.*'a'"):
+                evaluate(frozenset(), good, frozenset(["b"]), SPEC)
+
+    def test_bad_extraction_raises_after_a_passing_pair(self):
+        universe, gold = frozenset(["a", "b"]), frozenset(["a"])
+        evaluate(frozenset(["b"]), gold, universe, SPEC)
+        with pytest.raises(ValueError, match="extracted.*'z'"):
+            evaluate(frozenset(["z"]), gold, universe, SPEC)
+
+    def test_mutated_set_gold_raises(self):
+        universe = frozenset(["a", "b"])
+        gold = {"a"}
+        evaluate(frozenset(), gold, universe, SPEC)
+        gold.add("z")
+        with pytest.raises(ValueError, match="gold.*'z'"):
+            evaluate(frozenset(), gold, universe, SPEC)
+
+    def test_mutated_set_universe_raises(self):
+        universe = {"a", "b"}
+        gold = frozenset(["a"])
+        evaluate(frozenset(), gold, universe, SPEC)
+        universe.discard("a")
+        with pytest.raises(ValueError, match="gold.*'a'"):
+            evaluate(frozenset(), gold, universe, SPEC)
+
+    def test_nothing_is_kept_alive(self):
+        extracted, gold, universe = frozenset(["b"]), frozenset(["a"]), frozenset(["a", "b"])
+        evaluate(extracted, gold, universe, SPEC)
+        refs = [weakref.ref(words) for words in (extracted, gold, universe)]
+        del extracted, gold, universe
+        gc.collect()
+        assert [ref() for ref in refs] == [None, None, None]
+
+    def test_gold_walked_once_per_pair(self, monkeypatch):
+        walks = []
+        check = evaluation._check_subset
+
+        def counting(name, words, universe):
+            walks.append(name)
+            check(name, words, universe)
+
+        monkeypatch.setattr(evaluation, "_check_subset", counting)
+        universe = frozenset(f"w{i}" for i in range(10))
+        gold = frozenset(["w1", "w2"])
+        for size in range(5):
+            evaluate(frozenset(f"w{i}" for i in range(size)), gold, universe, SPEC)
+        assert walks.count("extracted") == 5
+        assert walks.count("gold") == 1
+        # an equal but distinct gold object, and a mutable set, are walked again
+        evaluate(frozenset(), frozenset(sorted(gold)), universe, SPEC)
+        evaluate(frozenset(), set(gold), universe, SPEC)
+        evaluate(frozenset(), set(gold), universe, SPEC)
+        assert walks.count("gold") == 4
+
+    @settings(max_examples=200)
+    @given(data=st.data())
+    def test_calls_reusing_objects_match_direct_counts(self, data):
+        pool = []
+        for _ in range(data.draw(st.integers(1, 4), label="pool size")):
+            kind = data.draw(st.sampled_from([frozenset, set]), label="kind")
+            pool.append(kind(data.draw(word_sets, label="words")))
+        slots = st.integers(0, len(pool) - 1)
+        calls = st.tuples(st.just("call"), slots, slots, slots)
+        mutations = st.tuples(st.just("add"), slots, st.sampled_from(WORDS))
+        for step in data.draw(st.lists(st.one_of(calls, mutations), max_size=12), label="steps"):
+            if step[0] == "add":
+                _, i, word = step
+                if isinstance(pool[i], set):
+                    pool[i].add(word)
+                continue
+            _, e, m, u = step
+            extracted, gold, universe = pool[e], pool[m], pool[u]
+            if extracted <= universe and gold <= universe:
+                expected = score(SPEC, len(extracted), len(extracted & gold), len(universe), len(gold))
+                assert evaluate(extracted, gold, universe, SPEC) == expected
+            else:
+                with pytest.raises(ValueError):
+                    evaluate(extracted, gold, universe, SPEC)

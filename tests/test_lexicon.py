@@ -28,6 +28,13 @@ class TestNormalize:
     def test_surface_fallback(self, config):
         assert normalize(Token("Kidnappers", pos="NOUN"), config) == "kidnappers"
 
+    def test_blank_lemma_falls_back_to_surface(self, config):
+        token = Token("Run", pos="VERB", lemma="  ")
+        assert normalize(token, config) == "run"
+        sentence = Sentence(id="s1", annotated=True, tokens=(token,))
+        corpus = Corpus(name="blank", documents=(Document(id="d1", sentences=(sentence,)),))
+        assert build_index(corpus, config).words == frozenset({"run"})
+
     def test_non_content_pos_filtered(self, config):
         assert normalize(Token("the", pos="DET", lemma="the"), config) is None
 
