@@ -2,7 +2,8 @@
 
 A corpus arrives pre-tokenized, pre-lemmatized and pre-POS-tagged as UTF-8
 JSON; this module parses and validates it into an immutable object tree.
-No linguistic analysis happens here.
+One decoder walks the text and converts each document as soon as it is
+decoded.  No linguistic analysis happens here.
 
 Within one parsed corpus, raw tokens with the same surface, POS and lemma
 values share one immutable Token object, so each distinct token is
@@ -95,12 +96,6 @@ class Corpus:
             if document.id in seen:
                 raise CorpusValidationError(f"duplicate document id {document.id!r}")
             seen.add(document.id)
-
-    def sentences(self):
-        """Iterate over (document, sentence) pairs in corpus order."""
-        for document in self.documents:
-            for sentence in document.sentences:
-                yield document, sentence
 
 
 @dataclass(frozen=True)
@@ -233,32 +228,25 @@ def _parse_document(
     return Document(id=doc_id, sentences=sentences)
 
 
-def _check_top_level(data: Any, warned: list[str]) -> tuple[str, list]:
-    """Return the corpus name and documents list, checked in the order both paths share."""
-    if not isinstance(data, dict):
-        raise CorpusValidationError("top-level corpus value must be an object")
-    _warn_unknown_fields(data, _CORPUS_FIELDS, "corpus", warned)
-    return _require(data, "name", str, "corpus"), _require(data, "documents", list, "corpus")
-
-
 def parse_corpus(source: Union[bytes, str, IO[bytes], IO[str]]) -> Corpus:
     """Parse and validate a corpus from JSON text, bytes, or an open stream.
 
     Raises CorpusParseError on malformed or too deeply nested JSON, and
     CorpusValidationError on schema or invariant violations (including
     text fields with lone surrogates).  Unknown fields and empty sentences
-    produce CorpusWarning, emitted once each when the parse ends.
+    produce CorpusWarning, emitted once each when the parse ends.  Bytes
+    may start with a UTF-8 BOM; a str may not, as with json.loads.
 
     Documents are decoded and converted one at a time, so the raw JSON of
-    only one document is alive at once.  Errors and warnings are those of
-    decoding the whole text first: any text the streamed walk does not
-    finish is parsed again that way.
+    only one document is alive at once.  Errors and warnings are still
+    those of decoding the whole text first: a syntax error anywhere beats
+    a validation error, and a repeated key keeps its last value.
     """
     if hasattr(source, "read"):
         source = source.read()  # type: ignore[union-attr]
     if isinstance(source, bytes):
         try:
-            source = source.decode("utf-8")
+            source = source.decode("utf-8-sig")
         except UnicodeDecodeError as exc:
             raise CorpusParseError(f"corpus file is not valid UTF-8: {exc}") from exc
     warned: list[str] = []
@@ -267,11 +255,20 @@ def parse_corpus(source: Union[bytes, str, IO[bytes], IO[str]]) -> Corpus:
     collector_was_on = gc.isenabled()
     gc.disable()
     try:
-        corpus = _stream_corpus(source, warned)
-        if corpus is None:
-            warned = []
-            corpus = _parse_whole_text(source, warned)
-        return corpus
+        try:
+            return _walk_top_level(source, warned)
+        except ValueError:
+            json.loads(source)  # only to word the error; passes only a non-object top level
+        raise CorpusValidationError("top-level corpus value must be an object")
+    except json.JSONDecodeError as exc:
+        raise CorpusParseError(
+            f"malformed JSON at line {exc.lineno}, column {exc.colno}: {exc.msg}"
+        ) from exc
+    except RecursionError as exc:
+        raise CorpusParseError("JSON nesting is too deep to parse") from exc
+    except ValueError as exc:
+        # e.g. an integer literal longer than the int-to-str digit limit
+        raise CorpusParseError(f"malformed JSON: {exc}") from exc
     finally:
         if collector_was_on:
             gc.enable()
@@ -279,30 +276,18 @@ def parse_corpus(source: Union[bytes, str, IO[bytes], IO[str]]) -> Corpus:
             warnings.warn(message, CorpusWarning, stacklevel=2)
 
 
-def _stream_corpus(text: str, warned: list[str]) -> Corpus | None:
-    """Walk the top-level object, converting each document as soon as it is decoded.
-
-    Returns None, with the exception dropped, when the text fails to decode,
-    has a layout the walk does not take (a top level that is not an object,
-    a repeated top-level key) or fails a check, so that the caller reruns
-    the whole-text path and reports exactly what it reports: a syntax error
-    anywhere still beats an earlier validation error.
-    """
-    try:
-        return _walk_top_level(text, warned)
-    except (ValueError, RecursionError, CorpusValidationError):
-        return None
-
-
 def _walk_top_level(text: str, warned: list[str]) -> Corpus:
     """Read the top-level object member by member, streaming its documents array.
 
     Raises ValueError (JSONDecodeError among them) wherever json.loads would
-    fail or keep a different value.
+    fail, and when the top level is not an object.  Once the text is read,
+    the top-level checks come first, then the documents' warnings and the
+    first validation error among them.
     """
     skip = WHITESPACE.match  # JSON's [ \t\n\r]*, as json.loads skips it
     fields: dict[str, Any] = {}
     document_warnings: list[str] = []
+    error = None
     pos = skip(text).end()
     if not text.startswith("{", pos):
         raise ValueError("top level is not an object")
@@ -312,14 +297,14 @@ def _walk_top_level(text: str, warned: list[str]) -> Corpus:
         if not text.startswith('"', pos):
             raise ValueError("expecting a key")
         key, pos = scanstring(text, pos + 1)
-        if key in fields:
-            raise ValueError("repeated key")  # json.loads keeps the last value
         pos = skip(text, pos).end()
         if not text.startswith(":", pos):
             raise ValueError("expecting ':'")
         pos = skip(text, pos + 1).end()
+        if key == "documents":  # a repeated key keeps its last value, as in json.loads
+            document_warnings, error = [], None
         if key == "documents" and text.startswith("[", pos):
-            fields[key], pos = _walk_documents(text, pos + 1, document_warnings)
+            fields[key], error, pos = _walk_documents(text, pos + 1, document_warnings)
         else:
             fields[key], pos = _DECODER.raw_decode(text, pos)
         pos = skip(text, pos).end()
@@ -330,51 +315,45 @@ def _walk_top_level(text: str, warned: list[str]) -> Corpus:
             raise ValueError("expecting ',' or '}'")
     if skip(text, pos + 1).end() != len(text):
         raise ValueError("extra data")
-    name, documents = _check_top_level(fields, warned)
+    _warn_unknown_fields(fields, _CORPUS_FIELDS, "corpus", warned)
+    name = _require(fields, "name", str, "corpus")
+    documents = _require(fields, "documents", list, "corpus")
     warned += document_warnings
+    if error is not None:
+        raise error
     return Corpus(name=name, documents=tuple(documents))
 
 
-def _walk_documents(text: str, pos: int, warned: list[str]) -> tuple[list[Document], int]:
-    """Convert the documents array whose '[' ends just before pos; return them and the end."""
+def _walk_documents(
+    text: str, pos: int, warned: list[str]
+) -> tuple[list[Document], CorpusValidationError | None, int]:
+    """Convert the documents array whose '[' ends just before pos.
+
+    Returns the documents, the first validation error and the array's end.
+    After that error the remaining documents are decoded but not converted,
+    so a later syntax error still surfaces.
+    """
     skip = WHITESPACE.match
     seen: dict[tuple, Token] = {}
     documents: list[Document] = []
+    error = None
     pos = skip(text, pos).end()
     if text.startswith("]", pos):
-        return documents, pos + 1
+        return documents, error, pos + 1
     while True:
         raw, pos = _DECODER.raw_decode(text, pos)
-        documents.append(_parse_document(raw, f"documents[{len(documents)}]", seen, warned))
+        if error is None:
+            try:
+                documents.append(_parse_document(raw, f"documents[{len(documents)}]", seen, warned))
+            except CorpusValidationError as exc:
+                error = exc
         del raw  # free this document's dicts before the next one is decoded
         pos = skip(text, pos).end()
         if text.startswith("]", pos):
-            return documents, pos + 1
+            return documents, error, pos + 1
         if not text.startswith(",", pos):
             raise ValueError("expecting ',' or ']'")
         pos = skip(text, pos + 1).end()
-
-
-def _parse_whole_text(text: str, warned: list[str]) -> Corpus:
-    """Decode the whole text with json.loads, then convert it."""
-    try:
-        data = json.loads(text)
-    except json.JSONDecodeError as exc:
-        raise CorpusParseError(
-            f"malformed JSON at line {exc.lineno}, column {exc.colno}: {exc.msg}"
-        ) from exc
-    except RecursionError as exc:
-        raise CorpusParseError("JSON nesting is too deep to parse") from exc
-    except ValueError as exc:
-        # e.g. an integer literal longer than the int-to-str digit limit
-        raise CorpusParseError(f"malformed JSON: {exc}") from exc
-
-    name, raw_documents = _check_top_level(data, warned)
-    seen: dict[tuple, Token] = {}
-    documents = tuple(
-        _parse_document(d, f"documents[{i}]", seen, warned) for i, d in enumerate(raw_documents)
-    )
-    return Corpus(name=name, documents=documents)
 
 
 def load_corpus(path) -> Corpus:
@@ -411,11 +390,6 @@ def corpus_to_dict(corpus: Corpus) -> dict:
     return {"name": corpus.name, "documents": documents}
 
 
-def dumps_corpus(corpus: Corpus) -> str:
-    """Serialize a Corpus to corpus-format JSON text."""
-    return json.dumps(corpus_to_dict(corpus), ensure_ascii=False, indent=2)
-
-
 def compute_stats(corpus: Corpus, config) -> CorpusStats:
     """Compute corpus-level statistics under a FilterConfig.
 
@@ -427,11 +401,12 @@ def compute_stats(corpus: Corpus, config) -> CorpusStats:
     n_tokens = 0
     n_sentences = 0
     n_annotated = 0
-    for _, sentence in corpus.sentences():
-        n_sentences += 1
-        n_tokens += len(sentence.tokens)
-        if sentence.annotated:
-            n_annotated += 1
+    for document in corpus.documents:
+        for sentence in document.sentences:
+            n_sentences += 1
+            n_tokens += len(sentence.tokens)
+            if sentence.annotated:
+                n_annotated += 1
 
     index = build_index(corpus, config)
     return CorpusStats(

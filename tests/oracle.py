@@ -1,6 +1,9 @@
-"""Brute-force reference lexicons and extraction, recomputed from raw tokens.
+"""Brute-force references: corpus parse, lexicons and extraction.
 
-Shares only `normalize`, `Measure` and `MeasureSpec` with the package:
+`oracle_parse` decodes the whole text with `json.loads` and then runs the
+package's converters, so it is the reference for how `parse_corpus`
+reports errors and warnings, not for the checks themselves.  The rest
+shares only `normalize`, `Measure` and `MeasureSpec` with the package:
 the universe and gold walks (one normalize call per token, no memo),
 counting, df lookups, scoring and the top-n% cut (exact rational
 arithmetic) are all reimplemented here, with no entry-threshold ranking.
@@ -10,19 +13,68 @@ words.
 
 from __future__ import annotations
 
+import json
 import math
+import warnings
 from fractions import Fraction
+from typing import Iterator
 
 from lexsweep import FilterConfig, Measure, MeasureSpec
-from lexsweep.corpus import Corpus
+from lexsweep.corpus import (
+    _CORPUS_FIELDS,
+    Corpus,
+    CorpusParseError,
+    CorpusValidationError,
+    CorpusWarning,
+    Sentence,
+    Token,
+    _parse_document,
+    _require,
+    _warn_unknown_fields,
+)
 from lexsweep.lexicon import Lexicon, normalize
+
+
+def sentences(corpus: Corpus) -> Iterator[Sentence]:
+    """Every sentence in corpus order."""
+    for document in corpus.documents:
+        yield from document.sentences
+
+
+def oracle_parse(text: str) -> Corpus:
+    """parse_corpus by decoding the whole text with json.loads first, then converting."""
+    warned: list[str] = []
+    try:
+        try:
+            data = json.loads(text)
+        except json.JSONDecodeError as exc:
+            raise CorpusParseError(
+                f"malformed JSON at line {exc.lineno}, column {exc.colno}: {exc.msg}"
+            ) from exc
+        except RecursionError as exc:
+            raise CorpusParseError("JSON nesting is too deep to parse") from exc
+        except ValueError as exc:
+            raise CorpusParseError(f"malformed JSON: {exc}") from exc
+        if not isinstance(data, dict):
+            raise CorpusValidationError("top-level corpus value must be an object")
+        _warn_unknown_fields(data, _CORPUS_FIELDS, "corpus", warned)
+        name = _require(data, "name", str, "corpus")
+        raw_documents = _require(data, "documents", list, "corpus")
+        seen: dict[tuple, Token] = {}
+        documents = tuple(
+            _parse_document(d, f"documents[{i}]", seen, warned) for i, d in enumerate(raw_documents)
+        )
+        return Corpus(name=name, documents=documents)
+    finally:
+        for message in warned:
+            warnings.warn(message, CorpusWarning)
 
 
 def oracle_universe(corpus: Corpus, config: FilterConfig) -> Lexicon:
     """Every content word key in the corpus."""
     keys = {
         normalize(token, config)
-        for _, sentence in corpus.sentences()
+        for sentence in sentences(corpus)
         for token in sentence.tokens
     }
     return frozenset(keys - {None})
@@ -32,7 +84,7 @@ def oracle_gold(corpus: Corpus, config: FilterConfig) -> Lexicon:
     """Every content word key in an annotated sentence."""
     keys = {
         normalize(token, config)
-        for _, sentence in corpus.sentences()
+        for sentence in sentences(corpus)
         if sentence.annotated
         for token in sentence.tokens
     }

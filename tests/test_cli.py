@@ -67,6 +67,12 @@ class TestValidate:
         assert "2 documents" in out
         assert "3 sentences" in out
 
+    def test_file_with_a_bom(self, fixture_path, tmp_path, capsys):
+        path = tmp_path / "bom.json"
+        path.write_bytes(b"\xef\xbb\xbf" + fixture_path.read_bytes())
+        assert main(["validate", "--corpus", str(path)]) == 0
+        assert "2 documents" in capsys.readouterr().out
+
     def test_missing_file(self, tmp_path, capsys):
         assert main(["validate", "--corpus", str(tmp_path / "nope.json")]) == 1
         assert "error:" in capsys.readouterr().err

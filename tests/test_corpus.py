@@ -17,13 +17,11 @@ from lexsweep.corpus import (
     Document,
     Sentence,
     Token,
-    _parse_whole_text,
-    _stream_corpus,
     compute_stats,
-    dumps_corpus,
 )
 
 from gencorpus import corpora
+from oracle import oracle_parse, sentences
 from test_acceptance import build_large_corpus
 
 
@@ -59,6 +57,25 @@ class TestParse:
         assert parse_corpus(text.encode("utf-8")) == parse_corpus(text)
         assert parse_corpus(io.StringIO(text)) == parse_corpus(text)
         assert parse_corpus(io.BytesIO(text.encode("utf-8"))) == parse_corpus(text)
+
+    def test_bytes_may_start_with_a_bom(self):
+        text = json.dumps(minimal_corpus_dict(name="caf\N{LATIN SMALL LETTER E WITH ACUTE}"))
+        assert parse_corpus(b"\xef\xbb\xbf" + text.encode("utf-8")) == parse_corpus(text)
+
+    def test_no_second_decode_after_a_validation_error(self, monkeypatch):
+        data = minimal_corpus_dict()
+        data["documents"].append({"id": "d2", "sentences": [{"id": "s1", "tokens": []}]})
+        text = json.dumps(data)
+        valid = json.dumps(minimal_corpus_dict())
+
+        def loads(*args, **kwargs):
+            raise AssertionError("json.loads called")
+
+        monkeypatch.setattr(json, "loads", loads)
+        with pytest.raises(CorpusValidationError) as raised:
+            parse_corpus(text)
+        assert str(raised.value) == "missing field 'annotated' in document 'd2', sentence 's1'"
+        assert parse_corpus(valid).name == "tiny"
 
     def test_lemma_defaults_to_none(self):
         corpus = parse_corpus(json.dumps(minimal_corpus_dict()))
@@ -168,7 +185,7 @@ class TestTokenTable:
         )
         parsed = parse_corpus(json.dumps(data))
         assert parsed == built
-        tokens = [tok for _, sentence in parsed.sentences() for tok in sentence.tokens]
+        tokens = [tok for sentence in sentences(parsed) for tok in sentence.tokens]
         assert len({id(tok) for tok in tokens}) == len(set(tokens))
 
     def test_unknown_field_warns_after_clean_duplicate(self):
@@ -281,22 +298,12 @@ class TestCollectorState:
             parse_corpus(text)
         assert gc.isenabled() is collector
 
-    def test_restored_after_fallback(self, collector):
+    def test_restored_after_repeated_key(self, collector):
         data = minimal_corpus_dict()
-        text = json.dumps(data)[:-1] + ', "documents": ' + json.dumps(data["documents"]) + "}"
-        assert _stream_corpus(text, []) is None  # a repeated top-level key
+        # the invalid first documents array is replaced by the valid second one
+        text = '{"documents": [{"id": 1}], ' + json.dumps(data)[1:]
         assert parse_corpus(text) == parse_corpus(json.dumps(data))
         assert gc.isenabled() is collector
-
-
-def whole_text(text: str) -> Corpus:
-    """parse_corpus as it was before streaming: json.loads on the whole text, then convert."""
-    warned: list[str] = []
-    try:
-        return _parse_whole_text(text, warned)
-    finally:
-        for message in warned:
-            warnings.warn(message, CorpusWarning)
 
 
 def outcome(parse, text: str):
@@ -313,7 +320,7 @@ def outcome(parse, text: str):
 def sharing(corpus: Corpus) -> list[int]:
     """For each token in corpus order, the position of the first token that is the same object."""
     first: dict[int, int] = {}
-    tokens = [tok for _, sentence in corpus.sentences() for tok in sentence.tokens]
+    tokens = [tok for sentence in sentences(corpus) for tok in sentence.tokens]
     return [first.setdefault(id(tok), i) for i, tok in enumerate(tokens)]
 
 
@@ -359,6 +366,7 @@ def corpus_texts(draw: st.DrawFn) -> str:
 
 
 VALID = json.dumps(minimal_corpus_dict())
+INVALID_DOCUMENTS = '[{"id": "d1", "sentences": []}, {"id": 1}]'
 
 
 class TestStreaming:
@@ -371,16 +379,29 @@ class TestStreaming:
     @example(text="[" + VALID + "]")
     @example(text='{"name": "x", "documents": {}}')
     @example(text='{"name": "x", "documents": []}')
+    @example(text='{"documents": ' + INVALID_DOCUMENTS + "}")
+    @example(text='{"documents": ' + INVALID_DOCUMENTS + ', "name": 3}')
+    @example(text='{"documents": ' + INVALID_DOCUMENTS + ', "name": "x", "zz": 1}')
+    @example(text='{"name": "x", "documents": ' + INVALID_DOCUMENTS + ', "documents": []}')
+    @example(text='{"name": "x", "documents": ' + INVALID_DOCUMENTS + ', "documents": 5}')
+    @example(text=VALID[:-1] + ', "documents": ' + INVALID_DOCUMENTS + "}")
+    @example(text='{"documents": [{"id": "d", "sentences": [], "x": 1}, {"id": "d"}], '
+             + VALID[1:])
+    @example(text='{"name": "x", "documents": ' + INVALID_DOCUMENTS[:-1] + ", [1,]]}")
+    @example(text='{"name": "x", "documents": ' + INVALID_DOCUMENTS[:-1] + ", " + "9" * 5000 + "]}")
+    @example(text=VALID[:-1] + ', "zz": ' + "9" * 5000 + "}")
+    @example(text=VALID[:-1] + ",}")
+    @example(text='{"name": "x", "documents": [' + VALID + ",]}")
+    @example(text="7")
+    @example(text="[" * 100_000)
+    @example(text='{"documents": [' + "[" * 100_000 + "]}")
     def test_matches_whole_text_path(self, text):
         streamed, streamed_warnings = outcome(parse_corpus, text)
-        whole, whole_warnings = outcome(whole_text, text)
+        whole, whole_warnings = outcome(oracle_parse, text)
         assert streamed == whole
         assert streamed_warnings == whole_warnings
         if isinstance(whole, Corpus):
             assert sharing(streamed) == sharing(whole)
-            top_keys = [key for key, _ in json.loads(text, object_pairs_hook=lambda pairs: pairs)]
-            if len(set(top_keys)) == len(top_keys):
-                assert _stream_corpus(text, []) is not None
 
     def test_peak_memory_is_a_small_multiple_of_the_text(self):
         text = json.dumps(corpus_to_dict(build_large_corpus()), separators=(",", ":"))
@@ -409,7 +430,7 @@ class TestInvariants:
             parse_corpus(json.dumps(data))
 
     def test_same_sentence_id_across_documents_ok(self, fixture_corpus):
-        ids = [s.id for _, s in fixture_corpus.sentences()]
+        ids = [s.id for s in sentences(fixture_corpus)]
         assert ids.count("s1") == 2
 
     def test_message_type_requires_annotated(self):
@@ -442,9 +463,13 @@ class TestInvariants:
             Sentence(id="s1", annotated=False, tokens=(), message_type="kidnap")
 
 
+def dumps(corpus: Corpus) -> str:
+    return json.dumps(corpus_to_dict(corpus), ensure_ascii=False, indent=2)
+
+
 class TestRoundTrip:
     def test_fixture_round_trip(self, fixture_corpus):
-        assert parse_corpus(dumps_corpus(fixture_corpus)) == fixture_corpus
+        assert parse_corpus(dumps(fixture_corpus)) == fixture_corpus
 
     def test_optional_fields_omitted(self):
         corpus = parse_corpus(json.dumps(minimal_corpus_dict()))
@@ -455,7 +480,7 @@ class TestRoundTrip:
 
     @given(corpus=corpora())
     def test_round_trip_property(self, corpus):
-        assert parse_corpus(dumps_corpus(corpus)) == corpus
+        assert parse_corpus(dumps(corpus)) == corpus
 
 
 class TestStats:
@@ -479,27 +504,22 @@ class TestStats:
     @given(corpus=corpora())
     def test_stats_consistency(self, corpus):
         stats = compute_stats(corpus, FilterConfig())
-        assert stats.n_tokens == sum(len(s.tokens) for _, s in corpus.sentences())
+        assert stats.n_tokens == sum(len(s.tokens) for s in sentences(corpus))
         assert stats.n_annotated_sentences <= stats.n_sentences
         assert stats.n_distinct_vn_messages <= stats.n_distinct_vn_corpus
 
 
+TOKEN = {"surface": "x", "pos": "NOUN"}
+
+
 def test_corpus_iteration_order():
-    corpus = Corpus(
-        name="ordered",
-        documents=(
-            Document(
-                id="a",
-                sentences=(
-                    Sentence(id="s1", annotated=False, tokens=(Token("x", "NOUN"),)),
-                    Sentence(id="s2", annotated=False, tokens=(Token("y", "NOUN"),)),
-                ),
-            ),
-            Document(
-                id="b",
-                sentences=(Sentence(id="s1", annotated=False, tokens=(Token("z", "NOUN"),)),),
-            ),
-        ),
-    )
-    seen = [(d.id, s.id) for d, s in corpus.sentences()]
-    assert seen == [("a", "s1"), ("a", "s2"), ("b", "s1")]
+    data = {
+        "name": "ordered",
+        "documents": [
+            {"id": "b", "sentences": [sentence_dict("s2", [TOKEN]), sentence_dict("s1", [TOKEN])]},
+            {"id": "a", "sentences": [sentence_dict("s1", [TOKEN])]},
+        ],
+    }
+    corpus = parse_corpus(json.dumps(data))
+    seen = [(d.id, s.id) for d in corpus.documents for s in d.sentences]
+    assert seen == [("b", "s2"), ("b", "s1"), ("a", "s1")]

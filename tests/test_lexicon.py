@@ -18,7 +18,7 @@ from lexsweep.sweep import threshold_range
 from lexsweep.cli import main
 
 from gencorpus import POS_POOL, corpora, with_all_annotated, without_sentence
-from oracle import oracle_gold, oracle_universe
+from oracle import oracle_gold, oracle_universe, sentences
 
 
 class TestNormalize:
@@ -66,7 +66,7 @@ class TestNormalize:
     @given(corpus=corpora())
     def test_normalized_keys_are_fixed_points(self, corpus):
         config = FilterConfig()
-        for _, sentence in corpus.sentences():
+        for sentence in sentences(corpus):
             for token in sentence.tokens:
                 key = normalize(token, config)
                 if key is not None:
@@ -155,7 +155,7 @@ class TestBuilders:
             assert 1 <= index.doc_counts[word] <= index.n_documents
         content_tokens = sum(
             1
-            for _, sentence in corpus.sentences()
+            for sentence in sentences(corpus)
             for token in sentence.tokens
             if normalize(token, config) is not None
         )
@@ -219,7 +219,7 @@ class TestOnePass:
         monkeypatch.setattr(lexicon, "normalize", counting_normalize)
         run(fixture_corpus, config, fixture_path)
         distinct = {
-            id(token) for _, sentence in fixture_corpus.sentences() for token in sentence.tokens
+            id(token) for sentence in sentences(fixture_corpus) for token in sentence.tokens
         }
         assert len(calls) == len({id(token) for token in calls}) == len(distinct)
 
