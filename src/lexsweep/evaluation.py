@@ -7,11 +7,17 @@ precision 1.0 against an empty gold set and 0.0 otherwise, recall of an
 empty gold set is 1.0, and fallout is 0.0 when the universe equals the
 gold set.
 
-evaluate checks that E and M are subsets of U.  E ⊆ U is checked on every
-call.  M ⊆ U is checked once per pair of exact frozenset objects: the last
-pair that passed is held by weak references, so a later call with the
-same two objects skips the O(|M|) walk and repeated points on one index
-cost O(|E|).  Any other pair, a mutable set included, is checked again.
+evaluate checks that E and M are subsets of U, and counts |E ∩ M|.  An
+extraction from measures.extract skips both passes over E when scored on
+its own index: E ⊆ U was checked once per measure when its ranking was
+built, so it is skipped when U is the index's words, and |E ∩ M| comes
+with the extraction when M is the index's gold or equal to it.  M ⊆ U is
+checked once per pair of exact frozenset objects: the last pair that
+passed is held by weak references, with the result of comparing its gold
+with an extraction's gold, so a later call with the same two objects
+skips both O(|M|) walks.  So a point on its own index costs building E,
+and nothing more.  Any other input, a mutable set included, is checked
+and counted again on each call.
 """
 
 from __future__ import annotations
@@ -20,7 +26,7 @@ import weakref
 from dataclasses import dataclass
 
 from .lexicon import Lexicon
-from .measures import Measure, MeasureSpec
+from .measures import Measure, MeasureSpec, _Extraction
 
 
 @dataclass(frozen=True)
@@ -46,9 +52,11 @@ def f_measure(precision: float, recall: float) -> float:
     return 2 * precision * recall / (precision + recall)
 
 
-# Weak references to the last (gold, universe) pair of frozensets that
-# passed the gold check; immutable, so the pair stays valid while both live.
-_checked_pair: tuple[weakref.ref, weakref.ref] | None = None
+# The last (gold, universe) pair of frozensets that passed the gold check,
+# held by weak references (immutable, so the pair stays valid while both
+# live), then the extraction gold it was last compared with and whether
+# the two are equal.
+_checked_pair: tuple[weakref.ref, weakref.ref, weakref.ref | None, bool] | None = None
 
 
 def _check_subset(name: str, words: Lexicon, universe: Lexicon) -> None:
@@ -57,25 +65,51 @@ def _check_subset(name: str, words: Lexicon, universe: Lexicon) -> None:
         raise ValueError(f"{name} lexicon is not a subset of the universe: {stray}")
 
 
+def _check_gold(gold: Lexicon, universe: Lexicon) -> tuple | None:
+    """Check M ⊆ U unless this pair passed last; the pair's slot, or None
+    when the pair is not two frozensets and so is not recorded."""
+    global _checked_pair
+    checked = _checked_pair
+    if checked is None or checked[0]() is not gold or checked[1]() is not universe:
+        _check_subset("gold", gold, universe)
+        if type(gold) is not frozenset or type(universe) is not frozenset:
+            return None
+        checked = _checked_pair = weakref.ref(gold), weakref.ref(universe), None, False
+    return checked
+
+
+def _is_own_gold(gold: Lexicon, checked: tuple | None, own: Lexicon) -> bool:
+    """Whether gold is the extraction's own gold or equal to it, compared
+    once per recorded pair."""
+    global _checked_pair
+    if gold is own:
+        return True
+    if checked is None:
+        return False
+    if checked[2] is None or checked[2]() is not own:
+        checked = _checked_pair = *checked[:2], weakref.ref(own), gold == own
+    return checked[3]
+
+
 def evaluate(
     extracted: Lexicon, gold: Lexicon, universe: Lexicon, spec: MeasureSpec
 ) -> MetricsRow:
     """Score an extracted lexicon against the gold lexicon within the universe.
 
     Both extracted and gold must be subsets of the universe; fallout is the
-    share of non-gold vocabulary wrongly extracted.  The gold check is
-    skipped when gold and universe are the same two frozensets that passed
-    it last (see the module docstring).
+    share of non-gold vocabulary wrongly extracted.  An extraction scored
+    on its own index, and a gold and universe that passed the gold check
+    last, skip the walks they need not repeat (see the module docstring).
     """
-    global _checked_pair
-    _check_subset("extracted", extracted, universe)
-    checked = _checked_pair
-    if checked is None or checked[0]() is not gold or checked[1]() is not universe:
-        _check_subset("gold", gold, universe)
-        if type(gold) is frozenset and type(universe) is frozenset:
-            _checked_pair = weakref.ref(gold), weakref.ref(universe)
-
-    return score(spec, len(extracted), len(extracted & gold), len(universe), len(gold))
+    own = type(extracted) is _Extraction
+    if not own or universe is not extracted.universe:
+        _check_subset("extracted", extracted, universe)
+    checked = _check_gold(gold, universe)
+    if own and _is_own_gold(gold, checked, extracted.gold):
+        true_positives = extracted.hits
+    else:
+        true_positives = len(extracted & gold)
+    return score(spec, len(extracted), true_positives, len(universe), len(gold))
 
 
 def score(

@@ -58,8 +58,8 @@ class CorpusIndex:
     key set equals the corpus document ids); doc_counts is the number
     of documents each word occurs in.  words is the universe U and gold
     the keys of annotated sentences, the gold lexicon M (a subset of U).
-    rankings caches each measure's ranking, which extract and the sweep
-    both read.
+    rankings caches each measure's ranking and its gold counts, which
+    extract and the sweep both read.
     """
 
     collection_freq: dict[str, int]
@@ -77,7 +77,7 @@ class CorpusIndex:
 
     @cached_property
     def rankings(self) -> dict:
-        """Each measure's (ends, words) ranking, filled in on first use by measures.ranking."""
+        """Each measure's Ranking, filled in on first use by measures.ranking."""
         return {}
 
 

@@ -18,6 +18,12 @@ the threshold at which that list admits it; merged in threshold order, the
 buckets give the measure's words in order of entry.  Inter-document
 frequency sorts its words by document count.  The ranking is cached on the
 CorpusIndex, so each extraction is a prefix of it.
+
+On its first use the cache also counts the gold words at each threshold,
+one prefix sum of gold membership, and checks once that the index's words
+hold every ranked word.  extract and the sweep both read that count table.
+An extraction carries its count, so evaluate against its own index's gold
+and words costs nothing beyond building E.
 """
 
 from __future__ import annotations
@@ -28,7 +34,7 @@ from dataclasses import dataclass
 from enum import Enum
 from itertools import accumulate, islice
 from operator import mul
-from typing import Iterable
+from typing import Iterable, NamedTuple
 
 from .lexicon import CorpusIndex, Lexicon
 
@@ -67,6 +73,10 @@ class MeasureSpec:
     threshold: int
 
     def __post_init__(self) -> None:
+        if isinstance(self.threshold, bool) or not isinstance(self.threshold, int):
+            raise ValueError(
+                f"{self.kind.value} threshold must be an integer, got {self.threshold!r}"
+            )
         if self.kind.is_percent:
             if not 1 <= self.threshold <= 100:
                 raise ValueError(
@@ -124,19 +134,53 @@ def _ranking(index: CorpusIndex, kind: Measure) -> tuple[list[int], list[str]]:
     )
 
 
-def ranking(index: CorpusIndex, kind: Measure) -> tuple[list[int], list[str]]:
-    """A measure's (ends, words), built on first use and cached on the index."""
+class Ranking(NamedTuple):
+    """A measure's words in order of entry, so that words[:ends[t]] is its
+    extraction at threshold t and hits[t] the number of gold words in it;
+    universe is the index's words when they hold every ranked word, else None."""
+
+    ends: list[int]
+    words: list[str]
+    hits: list[int]
+    universe: Lexicon | None
+
+
+def ranking(index: CorpusIndex, kind: Measure) -> Ranking:
+    """A measure's Ranking, built on first use and cached on the index."""
     cached = index.rankings.get(kind)
     if cached is None:
-        cached = index.rankings[kind] = _ranking(index, kind)
+        ends, words = _ranking(index, kind)
+        gold = list(accumulate(map(index.gold.__contains__, words), initial=0))
+        within = index.words.issuperset(words)
+        cached = index.rankings[kind] = Ranking(
+            ends, words, [gold[end] for end in ends], index.words if within else None
+        )
     return cached
+
+
+class _Extraction(frozenset):
+    """An extracted lexicon that also carries, for evaluate, the universe
+    its ranking was checked against (None if it failed), its index's gold
+    and its count of gold words.  It equals, hashes and combines like the
+    plain frozenset of its words, and pickles and copies as one, so the
+    index's sets never travel with it."""
+
+    __slots__ = ("universe", "gold", "hits")
+
+    def __reduce__(self):
+        return frozenset, (list(self),)
 
 
 def extract(index: CorpusIndex, spec: MeasureSpec) -> Lexicon:
     """The words a measure keeps at a threshold: a prefix of its ranking,
     read in place without copying the list, and empty for an idf threshold
-    above every word's document count."""
-    ends, words = ranking(index, spec.kind)
+    above every word's document count.  The result carries its gold count,
+    so evaluating it against index.gold within index.words adds no pass
+    over it."""
+    ends, words, hits, universe = ranking(index, spec.kind)
     if spec.threshold >= len(ends):
         return frozenset()
-    return frozenset(islice(words, ends[spec.threshold]))
+    extraction = _Extraction(islice(words, ends[spec.threshold]))
+    extraction.universe, extraction.gold = universe, index.gold
+    extraction.hits = hits[spec.threshold]
+    return extraction

@@ -7,15 +7,15 @@ F-measure among rows whose fallout stays under a configurable cap.
 
 A row needs only two counts, |E| and |E ∩ M|, so a sweep never builds an
 extraction per threshold (the sort-once ROC sweep of Fawcett 2006).  Every
-measure reads both counts at ends[t] of its cached ranking, from a prefix
-sum of gold membership.  The two selected rows are then rebuilt by
-extract + evaluate, as a check.
+measure reads both from its cached ranking: ends[t] and the gold count
+hits[t], the same table extract gives each extraction.  The two selected
+rows are then rebuilt by extract + evaluate, as a check, and their |E ∩ M|
+is counted again from the extraction, so a wrong table is caught too.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
-from itertools import accumulate
 
 from .evaluation import MetricsRow, evaluate, score
 from .lexicon import CorpusIndex
@@ -51,26 +51,24 @@ def _best(rows, fallout_cap=None) -> MetricsRow | None:
     return best
 
 
-def _counts(index: CorpusIndex, kind: Measure) -> list[tuple[int, int]]:
-    """(|E|, |E ∩ M|) at each threshold, ascending."""
-    ends, words = ranking(index, kind)
-    hits = list(accumulate(map(index.gold.__contains__, words), initial=0))
-    return [(end, hits[end]) for end in ends[1:]]
-
-
 def _check(index: CorpusIndex, row: MetricsRow | None) -> None:
     if row is None:
         return
     spec = MeasureSpec(kind=row.measure, threshold=row.threshold)
-    if evaluate(extract(index, spec), index.gold, index.words, spec) != row:
+    extracted = extract(index, spec)
+    if (
+        evaluate(extracted, index.gold, index.words, spec) != row
+        or len(extracted & index.gold) != row.true_positives
+    ):
         raise RuntimeError(f"counted sweep row disagrees with extract + evaluate at {spec}")
 
 
 def _sweep_index(index: CorpusIndex, kind: Measure, fallout_cap: float) -> SweepResult:
     universe_size, gold_size = len(index.words), len(index.gold)
+    ends, _, hits, _ = ranking(index, kind)
     rows = tuple(
-        score(MeasureSpec(kind=kind, threshold=t), size, hits, universe_size, gold_size)
-        for t, (size, hits) in zip(threshold_range(kind, index), _counts(index, kind), strict=True)
+        score(MeasureSpec(kind=kind, threshold=t), ends[t], hits[t], universe_size, gold_size)
+        for t in threshold_range(kind, index)
     )
     best = _best(rows)
     assert best is not None  # range is non-empty whenever the universe is

@@ -5,9 +5,12 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from lexsweep import Measure, MeasureSpec, evaluate
+from lexsweep import FilterConfig, Measure, MeasureSpec, build_index, evaluate, extract
 from lexsweep import evaluation
 from lexsweep.evaluation import f_measure, score
+from lexsweep.lexicon import CorpusIndex
+
+from gencorpus import corpora
 
 SPEC = MeasureSpec(Measure.COLLECTION_FREQ, 50)
 
@@ -222,3 +225,90 @@ class TestSubsetCheck:
             else:
                 with pytest.raises(ValueError):
                     evaluate(extracted, gold, universe, SPEC)
+
+
+def _gold_variants(gold):
+    """The index's gold, an equal copy, a strict subset and an equal mutable set."""
+    variants = [gold, frozenset(sorted(gold)), set(gold)]
+    if gold:
+        variants.append(gold - {min(gold)})
+    return variants
+
+
+class TestExtractionCounts:
+    """An extraction scored on its own index takes |E ∩ M| from its ranking's count table."""
+
+    @settings(max_examples=60, deadline=None)
+    @given(corpus=corpora())
+    def test_every_point_matches_direct_counts(self, corpus):
+        index = build_index(corpus, FilterConfig())
+        universes = [index.words, frozenset(sorted(index.words))]
+        for kind in Measure:
+            top = 100 if kind.is_percent else max(index.doc_counts.values(), default=0) + 1
+            for threshold in range(1, top + 1):
+                spec = MeasureSpec(kind, threshold)
+                extracted = extract(index, spec)
+                words = set(extracted)
+                for gold in _gold_variants(index.gold):
+                    for universe in universes:
+                        expected = score(
+                            spec, len(words), len(words & gold), len(universe), len(gold)
+                        )
+                        assert evaluate(extracted, gold, universe, spec) == expected
+
+    def test_count_comes_from_the_extraction_only_for_its_own_gold(self, fixture_corpus, config):
+        index = build_index(fixture_corpus, config)
+        spec = MeasureSpec(Measure.COLLECTION_FREQ, 100)
+        extracted = extract(index, spec)
+        true_positives = len(set(extracted) & index.gold)
+        extracted.hits += 1  # a count that differs from the sets shows which path ran
+        gold, equal, mutable, subset = _gold_variants(index.gold)
+        for own in (gold, equal, equal, gold):
+            assert evaluate(extracted, own, index.words, spec).true_positives == true_positives + 1
+        for other in (mutable, subset, frozenset()):
+            assert evaluate(extracted, other, index.words, spec).true_positives == len(
+                set(extracted) & other
+            )
+        assert true_positives == len(index.gold) > 0
+
+    def test_no_walk_over_the_extraction_on_its_own_index(self, fixture_corpus, config, monkeypatch):
+        walks = []
+        check = evaluation._check_subset
+
+        def counting(name, words, universe):
+            walks.append(name)
+            check(name, words, universe)
+
+        monkeypatch.setattr(evaluation, "_check_subset", counting)
+        index = build_index(fixture_corpus, config)
+        for kind in Measure:
+            spec = MeasureSpec(kind, 1)
+            evaluate(extract(index, spec), index.gold, index.words, spec)
+            # an equal but distinct universe walks E again
+            evaluate(extract(index, spec), index.gold, frozenset(sorted(index.words)), spec)
+        assert walks.count("extracted") == len(Measure)
+        assert walks.count("gold") == 2 * len(Measure)
+
+    def test_a_ranked_word_outside_the_words_is_still_rejected(self):
+        index = CorpusIndex(
+            collection_freq={"a": 1},
+            per_document={"d0": {"a": 1, "z": 1}},
+            doc_counts={"a": 1, "z": 1},
+            gold=frozenset(),
+        )
+        spec = MeasureSpec(Measure.DOCUMENT_FREQ, 100)
+        extracted = extract(index, spec)
+        assert extracted == {"a", "z"}
+        with pytest.raises(ValueError, match="extracted lexicon is not a subset.*'z'"):
+            evaluate(extracted, index.gold, index.words, spec)
+
+    def test_nothing_is_kept_alive(self, fixture_corpus, config):
+        index = build_index(fixture_corpus, config)
+        gold, universe = frozenset(sorted(index.gold)), index.words
+        spec = MeasureSpec(Measure.TFIDF, 50)
+        evaluate(extract(index, spec), index.gold, universe, spec)
+        evaluate(extract(index, spec), gold, universe, spec)
+        refs = [weakref.ref(obj) for obj in (index, index.gold, gold, universe)]
+        del index, gold, universe
+        gc.collect()
+        assert [ref() for ref in refs] == [None, None, None, None]

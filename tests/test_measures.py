@@ -1,4 +1,6 @@
+import copy
 import math
+import pickle
 import random
 from collections import Counter
 from fractions import Fraction
@@ -141,7 +143,7 @@ class TestLongLists:
                 for order in orders:
                     expected.update(order[: math.ceil(Fraction(percent, 100) * len(order))])
                 assert at(index, kind, percent) == expected, f"{kind.value}@{percent}"
-            ends, words = measures.ranking(index, kind)
+            ends, words, _, _ = measures.ranking(index, kind)
             assert ends[0] == 0
             assert ends[100] == len(index.words)
             assert all(low <= high for low, high in zip(ends, ends[1:]))
@@ -219,6 +221,19 @@ class TestMeasures:
             at(index, kind, 1)
 
 
+def test_an_extraction_is_a_plain_frozenset_to_its_users(fixture_index):
+    extracted = at(fixture_index, CF, 50)
+    plain = frozenset(extracted)
+    assert extracted == plain and hash(extracted) == hash(plain)
+    for result in (extracted & plain, extracted | plain, extracted - plain, extracted.copy()):
+        assert type(result) is frozenset
+    for copied in (pickle.loads(pickle.dumps(extracted)), copy.copy(extracted), copy.deepcopy(extracted)):
+        assert type(copied) is frozenset and copied == plain
+    # the index's words and gold do not travel with it
+    left_out = fixture_index.words - extracted
+    assert left_out and not any(word.encode() in pickle.dumps(extracted) for word in left_out)
+
+
 class TestMeasureSpec:
     @pytest.mark.parametrize("kind", [Measure.COLLECTION_FREQ, Measure.DOCUMENT_FREQ, Measure.TFIDF])
     @pytest.mark.parametrize("threshold", [0, 101])
@@ -230,6 +245,12 @@ class TestMeasureSpec:
         with pytest.raises(ValueError, match="document count"):
             MeasureSpec(Measure.INTERDOC_FREQ, 0)
         MeasureSpec(Measure.INTERDOC_FREQ, 999)
+
+    @pytest.mark.parametrize("kind", list(Measure))
+    @pytest.mark.parametrize("threshold", [2.5, 2.0, True, False, "2", None])
+    def test_threshold_must_be_an_integer(self, kind, threshold):
+        with pytest.raises(ValueError, match="must be an integer"):
+            MeasureSpec(kind, threshold)
 
     def test_labels(self):
         assert Measure.COLLECTION_FREQ.label == "Collection Frequency"

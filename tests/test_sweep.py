@@ -9,6 +9,7 @@ from lexsweep import FilterConfig, Measure, MeasureSpec, build_index, evaluate, 
 from lexsweep import sweep
 from lexsweep.corpus import Corpus, Document, Sentence, Token
 from lexsweep.lexicon import WordKeySource
+from lexsweep.measures import ranking
 from lexsweep.sweep import threshold_range
 
 from gencorpus import POS_POOL, WORD_POOL, corpora
@@ -236,3 +237,9 @@ class TestCountedSweep:
         with pytest.raises(RuntimeError, match="disagrees with extract"):
             run_all_sweeps(build_index(fixture_corpus, config))
 
+    def test_a_corrupted_count_table_is_caught(self, fixture_corpus, config):
+        index = build_index(fixture_corpus, config)
+        hits = ranking(index, Measure.COLLECTION_FREQ).hits
+        hits[1:] = [count + 1 for count in hits[1:]]
+        with pytest.raises(RuntimeError, match="disagrees with extract"):
+            run_all_sweeps(index)
