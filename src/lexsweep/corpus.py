@@ -5,9 +5,9 @@ JSON; this module parses and validates it into an immutable object tree.
 One decoder walks the text and converts each document as soon as it is
 decoded.  No linguistic analysis happens here.
 
-Within one parsed corpus, raw tokens with the same surface, POS and lemma
-values share one immutable Token object, so each distinct token is
-checked once and later passes can work per distinct token.
+Within one parsed corpus, equal tokens share one immutable Token object,
+so later passes can work per distinct token.  A table keyed by POS, then
+by raw surface (and lemma), makes a repeated token cost one lookup.
 """
 
 from __future__ import annotations
@@ -151,51 +151,64 @@ def _check_utf8(value: str, field: str, where: str) -> str:
     return value
 
 
-def _parse_token(obj: Any, where: str, warned: list[str]) -> Token:
-    if not isinstance(obj, dict):
-        raise CorpusValidationError(f"token in {where} must be an object")
-    _warn_unknown_fields(obj, _TOKEN_FIELDS, where, warned)
-    surface = _require(obj, "surface", str, where).strip()
-    pos = _require(obj, "pos", str, where).strip()
-    lemma = obj.get("lemma")
-    if lemma is not None and not isinstance(lemma, str):
-        raise CorpusValidationError(f"field 'lemma' in {where} must be a string")
-    if lemma is not None:
-        lemma = _check_utf8(lemma, "lemma", where).strip() or None
-    try:
-        return Token(surface=surface, pos=pos, lemma=lemma)
-    except CorpusValidationError as exc:
-        raise CorpusValidationError(f"{exc} in {where}") from None
+def _parse_token(obj: Any, here: str, i: int, seen: dict[str, dict], warned: list[str]) -> Token:
+    """Check token i and enter it in seen; its location is built only to warn or fail."""
+    if type(obj) is not dict:
+        raise CorpusValidationError(f"token in {here}, token {i} must be an object")
+    known = obj.keys() <= _TOKEN_FIELDS
+    if not known:
+        _warn_unknown_fields(obj, _TOKEN_FIELDS, f"{here}, token {i}", warned)
+    surface, pos, lemma = obj.get("surface"), obj.get("pos"), obj.get("lemma")
+    if type(surface) is not str or not surface.isascii():
+        surface = _require(obj, "surface", str, f"{here}, token {i}")
+    if type(pos) is not str or not pos.isascii():
+        pos = _require(obj, "pos", str, f"{here}, token {i}")
+    if lemma is not None and (type(lemma) is not str or not lemma.isascii()):
+        if type(lemma) is not str:
+            raise CorpusValidationError(f"field 'lemma' in {here}, token {i} must be a string")
+        _check_utf8(lemma, "lemma", f"{here}, token {i}")
+    surface, pos, lemma = surface.strip(), pos.strip(), lemma and lemma.strip() or None
+    key = surface if lemma is None else (surface, lemma)
+    token = seen.setdefault(pos, {}).get(key)
+    if token is None:
+        try:
+            token = seen[pos][key] = Token(surface, pos, lemma)
+        except CorpusValidationError as exc:
+            raise CorpusValidationError(f"{exc} in {here}, token {i}") from None
+    if known:
+        key = obj["surface"] if len(obj) == 2 else (obj["surface"], obj["lemma"])
+        seen.setdefault(obj["pos"], {})[key] = token
+    return token
 
 
 def _parse_tokens(
-    raw_tokens: list, here: str, seen: dict[tuple, Token], warned: list[str]
+    raw_tokens: list, here: str, seen: dict[str, dict], warned: list[str]
 ) -> tuple[Token, ...]:
-    """Parse a sentence's tokens, sharing one Token per (surface, pos, lemma) in seen.
+    """Parse a sentence's tokens, one shared Token per (surface, pos, lemma).
 
-    Only a token dict with known fields alone is looked up; the first
-    sighting of its values, and every other token, goes through the full
-    checks of _parse_token with its own location.
+    seen maps a POS, then a surface, or a (surface, lemma) pair (null or
+    not), to the Token of a dict with exactly those fields and values: the
+    raw values of each converted dict with known fields alone, and each
+    Token's own values.  A hit proves those fields present and valid, and
+    len(raw), 2 or 3 by the key, that no other is there.  Any other token
+    goes through _parse_token on its own.
     """
     tokens = []
     for i, raw in enumerate(raw_tokens):
-        token = values = None
-        if type(raw) is dict and raw.keys() <= _TOKEN_FIELDS:
-            values = (raw.get("surface"), raw.get("pos"), raw.get("lemma"))
-            try:
-                token = seen.get(values)
-            except TypeError:  # an unhashable value, which _parse_token rejects
-                values = None
+        try:  # a non-dict, a missing field or an unhashable value raises
+            size = len(raw)
+            key = raw["surface"] if size == 2 else (raw["surface"], raw["lemma"])
+            token = seen[raw["pos"]][key] if size <= 3 else None
+        except (KeyError, TypeError):
+            token = None
         if token is None:
-            token = _parse_token(raw, f"{here}, token {i}", warned)
-            if values is not None:
-                seen[values] = token
+            token = _parse_token(raw, here, i, seen, warned)
         tokens.append(token)
     return tuple(tokens)
 
 
 def _parse_sentence(
-    obj: Any, where: str, seen: dict[tuple, Token], warned: list[str]
+    obj: Any, where: str, seen: dict[str, dict], warned: list[str]
 ) -> Sentence:
     if not isinstance(obj, dict):
         raise CorpusValidationError(f"sentence in {where} must be an object")
@@ -216,7 +229,7 @@ def _parse_sentence(
 
 
 def _parse_document(
-    obj: Any, where: str, seen: dict[tuple, Token], warned: list[str]
+    obj: Any, where: str, seen: dict[str, dict], warned: list[str]
 ) -> Document:
     if not isinstance(obj, dict):
         raise CorpusValidationError(f"document in {where} must be an object")
@@ -334,7 +347,7 @@ def _walk_documents(
     so a later syntax error still surfaces.
     """
     skip = WHITESPACE.match
-    seen: dict[tuple, Token] = {}
+    seen: dict[str, dict] = {}
     documents: list[Document] = []
     error = None
     pos = skip(text, pos).end()

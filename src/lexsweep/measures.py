@@ -73,6 +73,8 @@ class MeasureSpec:
     threshold: int
 
     def __post_init__(self) -> None:
+        if not isinstance(self.kind, Measure):
+            raise ValueError(f"unknown measure {self.kind!r}")
         if isinstance(self.threshold, bool) or not isinstance(self.threshold, int):
             raise ValueError(
                 f"{self.kind.value} threshold must be an integer, got {self.threshold!r}"

@@ -1,8 +1,11 @@
 """Brute-force references: corpus parse, lexicons and extraction.
 
-`oracle_parse` decodes the whole text with `json.loads` and then runs the
-package's converters, so it is the reference for how `parse_corpus`
-reports errors and warnings, not for the checks themselves.  The rest
+`oracle_parse` decodes the whole text with `json.loads` and then converts
+it with converters of its own: every token is checked on its own, with
+no table, and equal tokens are then shared by value.  It shares only the
+message helpers (`_require`, `_check_utf8`, `_warn_unknown_fields`) and
+the tree classes with the package, so it is the reference both for how
+`parse_corpus` reports errors and warnings and for its token table.  The rest
 shares only `normalize`, `Measure` and `MeasureSpec` with the package:
 the universe and gold walks (one normalize call per token, no memo),
 counting, df lookups, scoring and the top-n% cut (exact rational
@@ -22,13 +25,17 @@ from typing import Iterator
 from lexsweep import FilterConfig, Measure, MeasureSpec
 from lexsweep.corpus import (
     _CORPUS_FIELDS,
+    _DOCUMENT_FIELDS,
+    _SENTENCE_FIELDS,
+    _TOKEN_FIELDS,
     Corpus,
     CorpusParseError,
     CorpusValidationError,
     CorpusWarning,
+    Document,
     Sentence,
     Token,
-    _parse_document,
+    _check_utf8,
     _require,
     _warn_unknown_fields,
 )
@@ -60,14 +67,68 @@ def oracle_parse(text: str) -> Corpus:
         _warn_unknown_fields(data, _CORPUS_FIELDS, "corpus", warned)
         name = _require(data, "name", str, "corpus")
         raw_documents = _require(data, "documents", list, "corpus")
-        seen: dict[tuple, Token] = {}
+        shared: dict[Token, Token] = {}
         documents = tuple(
-            _parse_document(d, f"documents[{i}]", seen, warned) for i, d in enumerate(raw_documents)
+            _oracle_document(d, f"documents[{i}]", shared, warned)
+            for i, d in enumerate(raw_documents)
         )
         return Corpus(name=name, documents=documents)
     finally:
         for message in warned:
             warnings.warn(message, CorpusWarning)
+
+
+def _oracle_document(obj, where: str, shared: dict[Token, Token], warned: list[str]) -> Document:
+    if not isinstance(obj, dict):
+        raise CorpusValidationError(f"document in {where} must be an object")
+    doc_id = _require(obj, "id", str, where)
+    here = f"document {doc_id!r}"
+    _warn_unknown_fields(obj, _DOCUMENT_FIELDS, here, warned)
+    raw_sentences = _require(obj, "sentences", list, here)
+    return Document(
+        id=doc_id,
+        sentences=tuple(_oracle_sentence(s, here, shared, warned) for s in raw_sentences),
+    )
+
+
+def _oracle_sentence(obj, where: str, shared: dict[Token, Token], warned: list[str]) -> Sentence:
+    if not isinstance(obj, dict):
+        raise CorpusValidationError(f"sentence in {where} must be an object")
+    sent_id = _require(obj, "id", str, where)
+    here = f"{where}, sentence {sent_id!r}"
+    _warn_unknown_fields(obj, _SENTENCE_FIELDS, here, warned)
+    annotated = _require(obj, "annotated", bool, here)
+    message_type = obj.get("message_type")
+    if message_type is not None and not isinstance(message_type, str):
+        raise CorpusValidationError(f"field 'message_type' in {here} must be a string")
+    if message_type is not None:
+        _check_utf8(message_type, "message_type", here)
+    raw_tokens = _require(obj, "tokens", list, here)
+    if not raw_tokens:
+        warned.append(f"empty sentence {sent_id!r} in {where}")
+    tokens = tuple(
+        _oracle_token(t, f"{here}, token {i}", shared, warned) for i, t in enumerate(raw_tokens)
+    )
+    return Sentence(id=sent_id, annotated=annotated, tokens=tokens, message_type=message_type)
+
+
+def _oracle_token(obj, where: str, shared: dict[Token, Token], warned: list[str]) -> Token:
+    """Every check on this token alone; then the first Token equal to it."""
+    if not isinstance(obj, dict):
+        raise CorpusValidationError(f"token in {where} must be an object")
+    _warn_unknown_fields(obj, _TOKEN_FIELDS, where, warned)
+    surface = _require(obj, "surface", str, where).strip()
+    pos = _require(obj, "pos", str, where).strip()
+    lemma = obj.get("lemma")
+    if lemma is not None and not isinstance(lemma, str):
+        raise CorpusValidationError(f"field 'lemma' in {where} must be a string")
+    if lemma is not None:
+        lemma = _check_utf8(lemma, "lemma", where).strip() or None
+    try:
+        token = Token(surface=surface, pos=pos, lemma=lemma)
+    except CorpusValidationError as exc:
+        raise CorpusValidationError(f"{exc} in {where}") from None
+    return shared.setdefault(token, token)
 
 
 def oracle_universe(corpus: Corpus, config: FilterConfig) -> Lexicon:

@@ -9,6 +9,7 @@ import pytest
 from hypothesis import example, given, strategies as st
 
 from lexsweep import CorpusError, FilterConfig, corpus_to_dict, parse_corpus
+from lexsweep import corpus as corpus_module
 from lexsweep.corpus import (
     Corpus,
     CorpusValidationError,
@@ -215,6 +216,60 @@ class TestTokenTable:
             parse_corpus(json.dumps(data))
         assert str(raised.value) == "missing field 'pos' in document 'd1', sentence 's13', token 37"
 
+    def test_equal_tokens_share_one_token_whatever_their_raw_values(self):
+        data = minimal_corpus_dict()
+        data["documents"][0]["sentences"][0]["tokens"] = [
+            {"surface": "run", "pos": "VERB"},
+            {"surface": " run", "pos": "VERB"},
+            {"surface": "run", "pos": "VERB", "lemma": ""},
+            {"surface": "run", "pos": "VERB", "lemma": None},
+        ]
+        tokens = parse_corpus(json.dumps(data)).documents[0].sentences[0].tokens
+        assert tokens == (Token("run", "VERB"),) * 4
+        assert len({id(tok) for tok in tokens}) == 1
+
+    def test_a_repeated_token_is_neither_checked_nor_built_again(self, monkeypatch):
+        known = [
+            {"surface": "run", "pos": "VERB"},
+            {"pos": "VERB", "surface": "run"},
+            {"surface": " run ", "pos": "VERB\t"},
+            {"surface": "run", "pos": "VERB", "lemma": None},
+            {"surface": "run", "pos": "VERB", "lemma": " "},
+            {"surface": "run", "pos": "VERB", "lemma": "run"},
+            {"lemma": "run", "surface": "run", "pos": "VERB"},
+            {"surface": "run", "pos": "NOUN", "lemma": "run"},
+        ]
+        unknown = {"surface": "run", "pos": "VERB", "morph": "x"}
+        shapes = known + [unknown]
+        raw = [shapes[i % len(shapes)] for i in range(1000)]
+        data = minimal_corpus_dict()
+        data["documents"][0]["sentences"] = [
+            sentence_dict(f"s{i}", raw[i : i + 100]) for i in range(0, len(raw), 100)
+        ]
+        built, checked = [], []
+        parse_token = corpus_module._parse_token
+
+        def counting_token(*args):
+            built.append(args)
+            return Token(*args)
+
+        def counting_parse_token(obj, *rest):
+            checked.append(obj)
+            return parse_token(obj, *rest)
+
+        monkeypatch.setattr(corpus_module, "Token", counting_token)
+        monkeypatch.setattr(corpus_module, "_parse_token", counting_parse_token)
+        with warnings.catch_warnings():
+            warnings.simplefilter("ignore", CorpusWarning)
+            corpus = parse_corpus(json.dumps(data))
+        tokens = [tok for sentence in sentences(corpus) for tok in sentence.tokens]
+        assert sorted(built, key=str) == [
+            ("run", "NOUN", "run"), ("run", "VERB", "run"), ("run", "VERB", None)
+        ]
+        assert len({id(tok) for tok in tokens}) == 3
+        distinct_known = {json.dumps(shape, sort_keys=True) for shape in known}
+        assert len(checked) == len(distinct_known) + raw.count(unknown)
+
     def test_unhashable_token_value_rejected(self):
         data = minimal_corpus_dict()
         data["documents"][0]["sentences"][0]["tokens"].append({"surface": ["run"], "pos": "VERB"})
@@ -342,11 +397,51 @@ EXTRA_FIELDS = st.dictionaries(
 )
 
 
+# raw token shapes, each made from a generated token dict; the first five convert
+TOKEN_SHAPES = {
+    "reordered keys": lambda tok: dict(reversed(tok.items())),
+    "null lemma": lambda tok: {**tok, "lemma": None},
+    "blank lemma": lambda tok: {**tok, "lemma": " "},
+    "padded values": lambda tok: {key: f" {value}\t" for key, value in tok.items()},
+    "non-ASCII surface": lambda tok: {**tok, "surface": tok["surface"] + "\u00e9"},
+    "unknown field": lambda tok: {**tok, "morph": "x"},
+    "lone surrogate lemma": lambda tok: {**tok, "lemma": "\ud800"},
+    "non-string lemma": lambda tok: {**tok, "lemma": 7},
+    "non-string pos": lambda tok: {**tok, "pos": None},
+    "unhashable surface": lambda tok: {**tok, "surface": [tok["surface"]]},
+    "missing pos": lambda tok: {key: value for key, value in tok.items() if key != "pos"},
+    "blank surface": lambda tok: {**tok, "surface": " "},
+    "not an object": lambda tok: [tok["surface"]],
+}
+CONVERTING_SHAPES = list(TOKEN_SHAPES)[:5]
+# (shape, sentence, token, append): an appended token follows the one whose values it reshapes
+TOKEN_EDITS = st.lists(
+    st.tuples(
+        st.one_of(st.sampled_from(CONVERTING_SHAPES), st.sampled_from(list(TOKEN_SHAPES))),
+        st.integers(0, 99),
+        st.integers(0, 99),
+        st.booleans(),
+    ),
+    max_size=6,
+)
+
+
 @st.composite
 def corpus_texts(draw: st.DrawFn) -> str:
-    """Corpus JSON with drawn whitespace, key order, unknown top-level fields and odd documents."""
+    """Corpus JSON with drawn whitespace, key order, token shapes, unknown top-level fields
+    and odd documents."""
     data = corpus_to_dict(draw(corpora(max_docs=3)))
     documents = data["documents"]
+    token_lists = [s["tokens"] for d in documents for s in d["sentences"] if s["tokens"]]
+    generated = [[dict(tok) for tok in tokens] for tokens in token_lists]
+    for shape, k, j, append in draw(TOKEN_EDITS) if token_lists else ():
+        k %= len(token_lists)
+        j %= len(generated[k])
+        reshaped = TOKEN_SHAPES[shape](generated[k][j])
+        if append:
+            token_lists[k].append(reshaped)
+        else:
+            token_lists[k][j] = reshaped
     for odd in draw(st.lists(ODD_DOCUMENTS, max_size=2)):
         documents.insert(draw(st.integers(0, len(documents))), odd)
     separators = draw(st.sampled_from([(",", ":"), (", ", ": ")]))
@@ -366,6 +461,11 @@ def corpus_texts(draw: st.DrawFn) -> str:
 
 
 VALID = json.dumps(minimal_corpus_dict())
+RUN = {"surface": "run", "pos": "VERB"}
+SHAPED = minimal_corpus_dict()
+SHAPED["documents"][0]["sentences"][0]["tokens"] = [
+    RUN, *(TOKEN_SHAPES[shape](RUN) for shape in [*CONVERTING_SHAPES, "unknown field"]), RUN
+]
 INVALID_DOCUMENTS = '[{"id": "d1", "sentences": []}, {"id": 1}]'
 
 
@@ -392,6 +492,7 @@ class TestStreaming:
     @example(text=VALID[:-1] + ', "zz": ' + "9" * 5000 + "}")
     @example(text=VALID[:-1] + ",}")
     @example(text='{"name": "x", "documents": [' + VALID + ",]}")
+    @example(text=json.dumps(SHAPED))
     @example(text="7")
     @example(text="[" * 100_000)
     @example(text='{"documents": [' + "[" * 100_000 + "]}")

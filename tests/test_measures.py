@@ -252,6 +252,11 @@ class TestMeasureSpec:
         with pytest.raises(ValueError, match="must be an integer"):
             MeasureSpec(kind, threshold)
 
+    @pytest.mark.parametrize("kind", ["cf", None, 1])
+    def test_kind_must_be_a_measure(self, kind):
+        with pytest.raises(ValueError, match=f"unknown measure {kind!r}"):
+            MeasureSpec(kind, 5)
+
     def test_labels(self):
         assert Measure.COLLECTION_FREQ.label == "Collection Frequency"
         assert Measure.DOCUMENT_FREQ.label == "Document Frequency"
