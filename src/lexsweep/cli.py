@@ -271,6 +271,9 @@ def main(argv: list[str] | None = None) -> int:
             finally:
                 for warning in caught:
                     print(f"warning: {warning.message}", file=sys.stderr)
+    except UnicodeEncodeError as exc:
+        print(f"error: cannot write output as {exc.encoding}: {exc}", file=sys.stderr)
+        return 1
     except ValueError as exc:
         return _usage_error(args.subparser, str(exc))
     except CorpusError as exc:

@@ -7,17 +7,15 @@ precision 1.0 against an empty gold set and 0.0 otherwise, recall of an
 empty gold set is 1.0, and fallout is 0.0 when the universe equals the
 gold set.
 
-evaluate checks that E and M are subsets of U, and counts |E ∩ M|.  An
-extraction from measures.extract skips both passes over E when scored on
-its own index: E ⊆ U was checked once per measure when its ranking was
-built, so it is skipped when U is the index's words, and |E ∩ M| comes
-with the extraction when M is the index's gold or equal to it.  M ⊆ U is
-checked once per pair of exact frozenset objects: the last pair that
-passed is held by weak references, with the result of comparing its gold
-with an extraction's gold, so a later call with the same two objects
-skips both O(|M|) walks.  So a point on its own index costs building E,
-and nothing more.  Any other input, a mutable set included, is checked
-and counted again on each call.
+evaluate checks that E and M are subsets of U, and counts |E ∩ M|, on
+every call, except for an extraction from measures.extract scored on its
+own index: U is the index's words and M its gold or a frozenset equal to
+it.  Its ranking proved E ⊆ U and M ⊆ U once per measure, from the count
+table it builds, and |E ∩ M| comes with the extraction, so such a point
+costs building E and nothing more.  The last gold found equal to an
+extraction's gold is held by weak references, so an equal copy is compared
+once.  Any other input, a mutable set included, is checked and counted
+again on each call.
 """
 
 from __future__ import annotations
@@ -52,11 +50,10 @@ def f_measure(precision: float, recall: float) -> float:
     return 2 * precision * recall / (precision + recall)
 
 
-# The last (gold, universe) pair of frozensets that passed the gold check,
-# held by weak references (immutable, so the pair stays valid while both
-# live), then the extraction gold it was last compared with and whether
-# the two are equal.
-_checked_pair: tuple[weakref.ref, weakref.ref, weakref.ref | None, bool] | None = None
+# The last gold found equal to an extraction's own gold, and that own
+# gold, held by weak references (frozensets, so they stay equal while both
+# live).
+_equal_gold: tuple[weakref.ref, weakref.ref] | None = None
 
 
 def _check_subset(name: str, words: Lexicon, universe: Lexicon) -> None:
@@ -65,30 +62,18 @@ def _check_subset(name: str, words: Lexicon, universe: Lexicon) -> None:
         raise ValueError(f"{name} lexicon is not a subset of the universe: {stray}")
 
 
-def _check_gold(gold: Lexicon, universe: Lexicon) -> tuple | None:
-    """Check M ⊆ U unless this pair passed last; the pair's slot, or None
-    when the pair is not two frozensets and so is not recorded."""
-    global _checked_pair
-    checked = _checked_pair
-    if checked is None or checked[0]() is not gold or checked[1]() is not universe:
-        _check_subset("gold", gold, universe)
-        if type(gold) is not frozenset or type(universe) is not frozenset:
-            return None
-        checked = _checked_pair = weakref.ref(gold), weakref.ref(universe), None, False
-    return checked
-
-
-def _is_own_gold(gold: Lexicon, checked: tuple | None, own: Lexicon) -> bool:
-    """Whether gold is the extraction's own gold or equal to it, compared
-    once per recorded pair."""
-    global _checked_pair
+def _is_own_gold(gold: Lexicon, own: Lexicon) -> bool:
+    """Whether gold is the extraction's own gold or a frozenset equal to it."""
+    global _equal_gold
     if gold is own:
         return True
-    if checked is None:
+    memo = _equal_gold
+    if memo is not None and memo[0]() is gold and memo[1]() is own:
+        return True
+    if type(gold) is not frozenset or gold != own:
         return False
-    if checked[2] is None or checked[2]() is not own:
-        checked = _checked_pair = *checked[:2], weakref.ref(own), gold == own
-    return checked[3]
+    _equal_gold = weakref.ref(gold), weakref.ref(own)
+    return True
 
 
 def evaluate(
@@ -98,16 +83,18 @@ def evaluate(
 
     Both extracted and gold must be subsets of the universe; fallout is the
     share of non-gold vocabulary wrongly extracted.  An extraction scored
-    on its own index, and a gold and universe that passed the gold check
-    last, skip the walks they need not repeat (see the module docstring).
+    on its own index skips both checks and the count (see the module
+    docstring).
     """
-    own = type(extracted) is _Extraction
-    if not own or universe is not extracted.universe:
-        _check_subset("extracted", extracted, universe)
-    checked = _check_gold(gold, universe)
-    if own and _is_own_gold(gold, checked, extracted.gold):
+    if (
+        type(extracted) is _Extraction
+        and universe is extracted.universe
+        and _is_own_gold(gold, extracted.gold)
+    ):
         true_positives = extracted.hits
     else:
+        _check_subset("extracted", extracted, universe)
+        _check_subset("gold", gold, universe)
         true_positives = len(extracted & gold)
     return score(spec, len(extracted), true_positives, len(universe), len(gold))
 

@@ -162,8 +162,11 @@ def load_stopwords(source: Union[str, "os.PathLike[str]", IO[str]]) -> frozenset
     if hasattr(source, "read"):
         text = source.read()
     else:
-        with open(source, "r", encoding="utf-8") as handle:
-            text = handle.read()
+        try:
+            with open(source, "r", encoding="utf-8") as handle:
+                text = handle.read()
+        except UnicodeDecodeError as exc:
+            raise ValueError(f"stopword file {source} is not valid UTF-8: {exc}") from None
     words = set()
     for line in text.removeprefix("\ufeff").splitlines():
         line = line.strip()

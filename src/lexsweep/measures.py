@@ -21,9 +21,10 @@ CorpusIndex, so each extraction is a prefix of it.
 
 On its first use the cache also counts the gold words at each threshold,
 one prefix sum of gold membership, and checks once that the index's words
-hold every ranked word.  extract and the sweep both read that count table.
-An extraction carries its count, so evaluate against its own index's gold
-and words costs nothing beyond building E.
+hold every ranked word and that every gold word is ranked, so E ⊆ U and
+M ⊆ U for each of its extractions.  extract and the sweep both read that
+count table.  An extraction carries its count, so evaluate against its
+own index's gold and words costs nothing beyond building E.
 """
 
 from __future__ import annotations
@@ -139,7 +140,8 @@ def _ranking(index: CorpusIndex, kind: Measure) -> tuple[list[int], list[str]]:
 class Ranking(NamedTuple):
     """A measure's words in order of entry, so that words[:ends[t]] is its
     extraction at threshold t and hits[t] the number of gold words in it;
-    universe is the index's words when they hold every ranked word, else None."""
+    universe is the index's words when they hold every ranked word and
+    every gold word is ranked, so that both E and M lie within it, else None."""
 
     ends: list[int]
     words: list[str]
@@ -153,7 +155,7 @@ def ranking(index: CorpusIndex, kind: Measure) -> Ranking:
     if cached is None:
         ends, words = _ranking(index, kind)
         gold = list(accumulate(map(index.gold.__contains__, words), initial=0))
-        within = index.words.issuperset(words)
+        within = gold[-1] == len(index.gold) and index.words.issuperset(words)
         cached = index.rankings[kind] = Ranking(
             ends, words, [gold[end] for end in ends], index.words if within else None
         )
@@ -162,10 +164,10 @@ def ranking(index: CorpusIndex, kind: Measure) -> Ranking:
 
 class _Extraction(frozenset):
     """An extracted lexicon that also carries, for evaluate, the universe
-    its ranking was checked against (None if it failed), its index's gold
-    and its count of gold words.  It equals, hashes and combines like the
-    plain frozenset of its words, and pickles and copies as one, so the
-    index's sets never travel with it."""
+    its ranking proved it and its index's gold lie within (None if not),
+    that gold, and its count of gold words.  It equals, hashes and
+    combines like the plain frozenset of its words, and pickles and
+    copies as one, so the index's sets never travel with it."""
 
     __slots__ = ("universe", "gold", "hits")
 

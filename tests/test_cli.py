@@ -1,3 +1,4 @@
+import io
 import json
 import shutil
 import subprocess
@@ -166,6 +167,36 @@ def test_lone_surrogate_is_a_corpus_error(command, tmp_path, capsys):
     assert "field 'surface' in document 'd1', sentence 's1', token 0" in captured.err
 
 
+@pytest.mark.parametrize(
+    "command",
+    [["gold"], ["extract", "--measure", "idf", "--threshold", "1"]],
+    ids=lambda command: command[0],
+)
+def test_unencodable_stdout_is_an_environment_failure(command, tmp_path, monkeypatch, capsys):
+    data = {
+        "name": "greek",
+        "documents": [
+            {
+                "id": "d1",
+                "sentences": [
+                    {
+                        "id": "s1",
+                        "annotated": True,
+                        "tokens": [{"surface": "επίθεση", "pos": "NOUN"}],
+                    }
+                ],
+            }
+        ],
+    }
+    path = write_json(tmp_path / "greek.json", data)
+    with monkeypatch.context() as patch:
+        patch.setattr(sys, "stdout", io.TextIOWrapper(io.BytesIO(), encoding="latin-1"))
+        assert main([command[0], "--corpus", path, *command[1:]]) == 1
+    err = capsys.readouterr().err
+    assert err.startswith("error: cannot write output as latin-1: ")
+    assert "usage:" not in err
+
+
 class TestStats:
     def test_text_output(self, corpus_arg, capsys):
         assert main(["stats", *corpus_arg]) == 0
@@ -236,6 +267,13 @@ class TestExtract:
         args = ["extract", *corpus_arg, "--stopwords", str(stop)]
         assert main([*args, "--measure", "idf", "--threshold", "1"]) == 0
         assert capsys.readouterr().out == "attack\nhostage\nnegotiate\n"
+
+    def test_stopwords_not_utf8_names_the_file(self, corpus_arg, tmp_path, capsys):
+        stop = tmp_path / "stop.txt"
+        stop.write_bytes("\ufeffpolice\n".encode("utf-16-le"))
+        args = ["extract", *corpus_arg, "--stopwords", str(stop)]
+        assert main([*args, "--measure", "idf", "--threshold", "1"]) == 2
+        assert f"error: stopword file {stop} is not valid UTF-8: " in capsys.readouterr().err
 
     def test_out_file(self, corpus_arg, tmp_path):
         out = tmp_path / "words.txt"

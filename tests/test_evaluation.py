@@ -136,8 +136,21 @@ class TestEvaluate:
         assert row_small.fallout <= row_large.fallout
 
 
+def _count_walks(monkeypatch) -> list[str]:
+    """The names _check_subset is called with, in order, from here on."""
+    walks = []
+    check = evaluation._check_subset
+
+    def counting(name, words, universe):
+        walks.append(name)
+        check(name, words, universe)
+
+    monkeypatch.setattr(evaluation, "_check_subset", counting)
+    return walks
+
+
 class TestSubsetCheck:
-    """E ⊆ U is checked on every call, M ⊆ U once per pair of frozensets."""
+    """E ⊆ U and M ⊆ U are checked on every call that is not an extraction on its own index."""
 
     def test_bad_gold_raises_on_every_call(self):
         universe = frozenset(["a", "b"])
@@ -180,26 +193,18 @@ class TestSubsetCheck:
         gc.collect()
         assert [ref() for ref in refs] == [None, None, None]
 
-    def test_gold_walked_once_per_pair(self, monkeypatch):
-        walks = []
-        check = evaluation._check_subset
-
-        def counting(name, words, universe):
-            walks.append(name)
-            check(name, words, universe)
-
-        monkeypatch.setattr(evaluation, "_check_subset", counting)
+    def test_plain_extraction_walks_both_on_every_call(self, monkeypatch):
+        walks = _count_walks(monkeypatch)
         universe = frozenset(f"w{i}" for i in range(10))
         gold = frozenset(["w1", "w2"])
         for size in range(5):
             evaluate(frozenset(f"w{i}" for i in range(size)), gold, universe, SPEC)
-        assert walks.count("extracted") == 5
-        assert walks.count("gold") == 1
-        # an equal but distinct gold object, and a mutable set, are walked again
+        # an equal but distinct gold object, and a mutable set, are walked too
         evaluate(frozenset(), frozenset(sorted(gold)), universe, SPEC)
         evaluate(frozenset(), set(gold), universe, SPEC)
         evaluate(frozenset(), set(gold), universe, SPEC)
-        assert walks.count("gold") == 4
+        assert walks.count("extracted") == 8
+        assert walks.count("gold") == 8
 
     @settings(max_examples=200)
     @given(data=st.data())
@@ -272,22 +277,33 @@ class TestExtractionCounts:
         assert true_positives == len(index.gold) > 0
 
     def test_no_walk_over_the_extraction_on_its_own_index(self, fixture_corpus, config, monkeypatch):
-        walks = []
-        check = evaluation._check_subset
-
-        def counting(name, words, universe):
-            walks.append(name)
-            check(name, words, universe)
-
-        monkeypatch.setattr(evaluation, "_check_subset", counting)
+        walks = _count_walks(monkeypatch)
         index = build_index(fixture_corpus, config)
         for kind in Measure:
             spec = MeasureSpec(kind, 1)
             evaluate(extract(index, spec), index.gold, index.words, spec)
-            # an equal but distinct universe walks E again
+        assert walks == []
+        for kind in Measure:
+            spec = MeasureSpec(kind, 1)
+            # an equal but distinct universe walks E and M
             evaluate(extract(index, spec), index.gold, frozenset(sorted(index.words)), spec)
         assert walks.count("extracted") == len(Measure)
-        assert walks.count("gold") == 2 * len(Measure)
+        assert walks.count("gold") == len(Measure)
+
+    def test_no_walk_for_points_interleaved_over_two_indexes(self, fixture_corpus, monkeypatch):
+        walks = _count_walks(monkeypatch)
+        # two (gold, words) pairs of distinct objects, taken in turn
+        indexes = [
+            build_index(fixture_corpus, FilterConfig()),
+            build_index(fixture_corpus, FilterConfig(case_fold=False)),
+        ]
+        for point in range(8):
+            index = indexes[point % 2]
+            spec = MeasureSpec(list(Measure)[point % 4], 1)
+            extracted = extract(index, spec)
+            row = evaluate(extracted, index.gold, index.words, spec)
+            assert row.true_positives == len(set(extracted) & index.gold)
+        assert walks == []
 
     def test_a_ranked_word_outside_the_words_is_still_rejected(self):
         index = CorpusIndex(
@@ -300,6 +316,19 @@ class TestExtractionCounts:
         extracted = extract(index, spec)
         assert extracted == {"a", "z"}
         with pytest.raises(ValueError, match="extracted lexicon is not a subset.*'z'"):
+            evaluate(extracted, index.gold, index.words, spec)
+
+    def test_an_unranked_gold_word_is_still_rejected(self):
+        index = CorpusIndex(
+            collection_freq={"a": 1},
+            per_document={"d0": {"a": 1}},
+            doc_counts={"a": 1},
+            gold=frozenset({"a", "z"}),
+        )
+        spec = MeasureSpec(Measure.COLLECTION_FREQ, 100)
+        extracted = extract(index, spec)
+        assert extracted == {"a"}
+        with pytest.raises(ValueError, match="gold lexicon is not a subset.*'z'"):
             evaluate(extracted, index.gold, index.words, spec)
 
     def test_nothing_is_kept_alive(self, fixture_corpus, config):
