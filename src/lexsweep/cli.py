@@ -36,10 +36,18 @@ _STATS_LABELS = (
 )
 
 
+def _path(text: str) -> str:
+    """A path argument; an empty one, say from an unset shell variable,
+    is a usage error rather than the current directory or no file."""
+    if not text:
+        raise argparse.ArgumentTypeError("expected a path, got ''")
+    return text
+
+
 def _build_parser() -> argparse.ArgumentParser:
     common = argparse.ArgumentParser(add_help=False)
-    common.add_argument("--corpus", required=True, help="corpus JSON file")
-    common.add_argument("--stopwords", help="stopword file, one word per line")
+    common.add_argument("--corpus", required=True, type=_path, help="corpus JSON file")
+    common.add_argument("--stopwords", type=_path, help="stopword file, one word per line")
     common.add_argument(
         "--pos",
         action="append",
@@ -91,7 +99,7 @@ def _build_parser() -> argparse.ArgumentParser:
     stats.add_argument("--csv", action="store_true", help="emit CSV instead of text")
 
     gold = add("gold", _cmd_gold, [common], "write the gold (message) lexicon")
-    gold.add_argument("--out", help="output file (default: stdout)")
+    gold.add_argument("--out", type=_path, help="output file (default: stdout)")
 
     extract_cmd = add(
         "extract",
@@ -99,7 +107,7 @@ def _build_parser() -> argparse.ArgumentParser:
         [common, measured],
         "extract a lexicon with one measure and threshold",
     )
-    extract_cmd.add_argument("--out", help="output file (default: stdout)")
+    extract_cmd.add_argument("--out", type=_path, help="output file (default: stdout)")
 
     add(
         "evaluate",
@@ -117,7 +125,7 @@ def _build_parser() -> argparse.ArgumentParser:
         default=DEFAULT_FALLOUT_CAP,
         help="fallout ceiling for the capped operating point (default: 0.10)",
     )
-    sweep.add_argument("--out", required=True, help="output directory")
+    sweep.add_argument("--out", required=True, type=_path, help="output directory")
 
     return parser
 

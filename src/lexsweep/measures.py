@@ -12,12 +12,9 @@ extractions are nested in the threshold and each word has one entry
 threshold, the smallest percent that keeps it: 100*r // L + 1 for the
 word at 0-based rank r, minimised over documents for document frequency
 and tf.idf.  For inter-document frequency it is the largest threshold that
-keeps the word, its document count.  A percent measure sorts each list
-by word and then, stably, by score, and puts each word in the bucket of
-the threshold at which that list admits it; merged in threshold order, the
-buckets give the measure's words in order of entry.  Inter-document
-frequency sorts its words by document count.  The ranking is cached on the
-CorpusIndex, so each extraction is a prefix of it.
+keeps the word, its document count.  Each measure sorts its words by entry
+threshold, and the ranking is cached on the CorpusIndex, so each
+extraction is a prefix of it.
 
 On its first use the cache also counts the gold words at each threshold,
 one prefix sum of gold membership, and checks once that the index's words
@@ -99,21 +96,19 @@ def _by_score(scores: dict[str, float]) -> list[str]:
 
 
 def _entries(lists: Iterable[list[str]]) -> tuple[list[int], list[str]]:
-    """ends and words for the union of ranked lists.  Bucket t holds the
-    words each list adds at threshold t, ranked[ceil((t-1)L/100):ceil(tL/100)];
-    merged in order of t, a word keeps its place from its first bucket."""
-    buckets: list[list[str]] = [[] for _ in range(100)]
+    """ends and words for the union of ranked lists: the word at 0-based
+    rank r of a list of L words enters at threshold 100*r // L + 1, and
+    each word keeps its smallest threshold over the lists."""
+    entry: dict[str, int] = {}
     for ranked in lists:
         length = len(ranked)
-        cuts = [-(-t * length // 100) for t in range(101)]
-        for bucket, start, end in zip(buckets, cuts, cuts[1:]):
-            bucket += ranked[start:end]
-    entries: dict[str, None] = {}
-    ends = [0]
-    for bucket in buckets:
-        entries.update(dict.fromkeys(bucket))
-        ends.append(len(entries))
-    return ends, list(entries)
+        for rank, word in enumerate(ranked):
+            threshold = 100 * rank // length + 1
+            if threshold < entry.get(word, 101):
+                entry[word] = threshold
+    sizes = Counter(entry.values())
+    ends = list(accumulate((sizes[t] for t in range(1, 101)), initial=0))
+    return ends, sorted(entry, key=entry.__getitem__)
 
 
 def _ranking(index: CorpusIndex, kind: Measure) -> tuple[list[int], list[str]]:

@@ -207,6 +207,24 @@ def render_svg(result: SweepResult) -> str:
 # Report bundles
 # ---------------------------------------------------------------------------
 
+def _stage(files: dict[str, str], staging: Path, out_dir: Path) -> None:
+    """Write the files into a new staging directory, removed again if a
+    write fails.  An OSError names out_dir, the path the caller gave, not
+    the hidden staging directory beside it."""
+    try:
+        staging.mkdir()
+        try:
+            for name, text in files.items():
+                (staging / name).write_bytes(text.encode("utf-8"))
+        except BaseException:
+            shutil.rmtree(staging, ignore_errors=True)
+            raise
+    except OSError as exc:
+        if exc.errno is None:
+            raise
+        raise type(exc)(exc.errno, exc.strerror, str(out_dir)) from exc
+
+
 def write_report_bundle(results: Iterable[SweepResult], out_dir) -> None:
     """Write per-measure CSV and SVG files plus summary.csv into a directory.
 
@@ -231,10 +249,8 @@ def write_report_bundle(results: Iterable[SweepResult], out_dir) -> None:
     staging = out_dir.parent / f".{out_dir.name}.{os.urandom(8).hex()}.tmp"
     try:
         out_dir.parent.mkdir(parents=True, exist_ok=True)
-        staging.mkdir()
+        _stage(files, staging, out_dir)
         try:
-            for name, text in files.items():
-                (staging / name).write_bytes(text.encode("utf-8"))
             if not out_dir.is_dir():
                 staging.rename(out_dir)
                 return

@@ -452,6 +452,20 @@ class TestSweep:
         assert main(args) == 1
         assert "error:" in capsys.readouterr().err
 
+    def test_staging_error_names_the_out_dir(self, corpus_arg, tmp_path, monkeypatch, capsys):
+        mkdir = Path.mkdir
+
+        def failing_mkdir(path, *args, **kwargs):
+            if path.name.startswith(".report."):
+                raise FileNotFoundError(2, "No such file or directory", str(path))
+            return mkdir(path, *args, **kwargs)
+
+        monkeypatch.setattr(Path, "mkdir", failing_mkdir)
+        out_dir = tmp_path / "report"
+        assert main(["sweep", *corpus_arg, "--out", str(out_dir)]) == 1
+        err = capsys.readouterr().err
+        assert err == f"error: [Errno 2] No such file or directory: '{out_dir}'\n"
+
     def test_blocked_target_leaves_out_dir_as_it_was(self, corpus_arg, tmp_path, capsys):
         out_dir = tmp_path / "report"
         (out_dir / "df.csv").mkdir(parents=True)
@@ -521,6 +535,31 @@ class TestSweep:
         path = write_json(tmp_path / "soup.json", data)
         assert main(["sweep", "--corpus", path, "--out", str(tmp_path / "r")]) == 2
         assert "no content vocabulary" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize(
+    "command",
+    [
+        ["validate", "--corpus", ""],
+        ["extract", "--stopwords", "", "--measure", "idf", "--threshold", "1"],
+        ["gold", "--out", ""],
+        ["extract", "--out", "", "--measure", "idf", "--threshold", "1"],
+        ["sweep", "--out", ""],
+    ],
+    ids=["corpus", "stopwords", "gold-out", "extract-out", "sweep-out"],
+)
+def test_empty_path_is_a_usage_error(command, fixture_path, tmp_path, monkeypatch, capsys):
+    # an unset $OUT must not write into the current directory or to stdout
+    monkeypatch.chdir(tmp_path)
+    flag = command[command.index("") - 1]
+    if flag != "--corpus":
+        command = [command[0], "--corpus", str(fixture_path), *command[1:]]
+    assert main(command) == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err.startswith(f"usage: lexsweep {command[0]}")
+    assert f"error: argument {flag}: expected a path, got ''" in captured.err
+    assert list(tmp_path.iterdir()) == []
 
 
 class TestParser:

@@ -71,6 +71,17 @@ class TestTopFraction:
         assert at(index, CF, 33) == {"a"}
         assert at(index, CF, 1) == {"a"}
 
+    def test_entry_is_the_smallest_over_the_documents(self):
+        # df entries 100*r // L + 1: a 1, b 34 and c 67 in the first
+        # document, c 1 and d 51 in the second, so c enters at 1
+        index = make_index({"a": 3, "b": 2, "c": 1}, {"c": 2, "d": 1})
+        ends = measures.ranking(index, DF).ends
+        assert ends[1] == ends[33] == 2
+        assert ends[34] == ends[50] == 3
+        assert ends[51] == ends[100] == 4
+        assert at(index, DF, 33) == {"a", "c"}
+        assert at(index, DF, 50) == {"a", "b", "c"}
+
     def test_empty_input(self):
         index = make_index({})
         for kind in Measure:
@@ -113,7 +124,8 @@ def one_document(length: int) -> list[dict[str, int]]:
 
 class TestLongLists:
     """Lists of more than 100 words, where one threshold admits several
-    words of a list, against a brute-force union of each list's tops."""
+    words of a list, and of fewer, where one word spans several
+    thresholds, against a brute-force union of each list's tops."""
 
     @settings(max_examples=30, deadline=None)
     @given(
@@ -125,6 +137,9 @@ class TestLongLists:
             max_size=3,
         )
     )
+    @example(documents=one_document(1))
+    @example(documents=one_document(3))
+    @example(documents=one_document(7))
     @example(documents=one_document(99))
     @example(documents=one_document(100))
     @example(documents=one_document(101))

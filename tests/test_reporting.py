@@ -1,4 +1,5 @@
 import csv
+import errno
 import hashlib
 import io
 import xml.etree.ElementTree as ET
@@ -275,6 +276,41 @@ class TestBundle:
             write_report_bundle(all_sweeps, tmp_path / "a" / "b" / "c" / "report")
         assert [p.name for p in tmp_path.iterdir()] == ["a"]
         assert list((tmp_path / "a").iterdir()) == []
+
+    def test_staging_error_names_the_out_dir(self, all_sweeps, tmp_path, monkeypatch):
+        mkdir = reporting.Path.mkdir
+
+        def failing_mkdir(path, *args, **kwargs):
+            if path.name.startswith(".report."):
+                raise FileNotFoundError(errno.ENOENT, "No such file or directory", str(path))
+            return mkdir(path, *args, **kwargs)
+
+        monkeypatch.setattr(reporting.Path, "mkdir", failing_mkdir)
+        out_dir = tmp_path / "report"
+        with pytest.raises(FileNotFoundError) as raised:
+            write_report_bundle(all_sweeps, out_dir)
+        assert raised.value.errno == errno.ENOENT
+        assert raised.value.filename == str(out_dir)
+        assert list(tmp_path.iterdir()) == []
+
+    def test_staged_write_error_names_the_out_dir(self, all_sweeps, tmp_path, monkeypatch):
+        def failing_write(path, data):
+            raise OSError(errno.ENOSPC, "No space left on device", str(path))
+
+        monkeypatch.setattr(reporting.Path, "write_bytes", failing_write)
+        out_dir = tmp_path / "report"
+        with pytest.raises(OSError) as raised:
+            write_report_bundle(all_sweeps, out_dir)
+        assert raised.value.errno == errno.ENOSPC
+        assert raised.value.filename == str(out_dir)
+        assert list(tmp_path.iterdir()) == []
+
+    def test_blocked_name_is_named(self, all_sweeps, tmp_path):
+        out_dir = tmp_path / "report"
+        (out_dir / "df.csv").mkdir(parents=True)
+        with pytest.raises(FileExistsError) as raised:
+            write_report_bundle(all_sweeps, out_dir)
+        assert raised.value.filename == str(out_dir / "df.csv")
 
     def test_new_parents_are_made(self, all_sweeps, tmp_path):
         out_dir = tmp_path / "a" / "b" / "report"
