@@ -24,7 +24,7 @@ from .lexicon import (
 )
 from .measures import Measure, MeasureSpec, extract
 from .reporting import write_report_bundle
-from .sweep import DEFAULT_FALLOUT_CAP, run_all_sweeps
+from .sweep import DEFAULT_FALLOUT_CAP, best_row, run_all_sweeps
 
 _STATS_LABELS = (
     ("Documents", "n_documents"),
@@ -246,17 +246,18 @@ def _cmd_sweep(args) -> int:
             line += f"   {'-':>5} {'-':>7} {'-':>8}"
         print(line)
 
-    overall = max(results, key=lambda r: r.best_f.f_measure)
+    # Rows compared by exact F; a tie goes to the first measure in Measure order.
+    best = best_row(result.best_f for result in results)
     print(
-        f"best F: {overall.measure.value} @ {overall.best_f.threshold} "
-        f"(F={overall.best_f.f_measure:.4f}, fallout={overall.best_f.fallout:.4f})"
+        f"best F: {best.measure.value} @ {best.threshold} "
+        f"(F={best.f_measure:.4f}, fallout={best.fallout:.4f})"
     )
-    capped_results = [r for r in results if r.best_f_under_cap is not None]
-    if capped_results:
-        winner = max(capped_results, key=lambda r: r.best_f_under_cap.f_measure)
-        capped = winner.best_f_under_cap
+    capped = best_row(
+        result.best_f_under_cap for result in results if result.best_f_under_cap is not None
+    )
+    if capped is not None:
         print(
-            f"best F under fallout cap {_format_cap(args.fallout_cap)}: {winner.measure.value} "
+            f"best F under fallout cap {_format_cap(args.fallout_cap)}: {capped.measure.value} "
             f"@ {capped.threshold} (F={capped.f_measure:.4f}, fallout={capped.fallout:.4f})"
         )
     else:

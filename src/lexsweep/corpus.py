@@ -7,7 +7,12 @@ decoded.  No linguistic analysis happens here.
 
 Within one parsed corpus, equal tokens share one immutable Token object,
 so later passes can work per distinct token.  A table keyed by POS, then
-by raw surface (and lemma), makes a repeated token cost one lookup.
+by raw surface (and lemma), makes a repeated token cost one lookup.  A
+new token whose values are already clean (stripped, non-empty ASCII
+strings, under a POS the table holds) and a sentence of exactly an ASCII
+id, a flag and a non-empty token list take one short step that checks
+and builds them; anything else is checked in full, and a location is
+formatted only for a warning or an error.
 """
 
 from __future__ import annotations
@@ -169,40 +174,70 @@ def _parse_token(obj: Any, here: str, i: int, seen: dict[str, dict], warned: lis
         _check_utf8(lemma, "lemma", f"{here}, token {i}")
     surface, pos, lemma = surface.strip(), pos.strip(), lemma and lemma.strip() or None
     key = surface if lemma is None else (surface, lemma)
-    token = seen.setdefault(pos, {}).get(key)
+    token = seen.get(pos, {}).get(key)
     if token is None:
         try:
-            token = seen[pos][key] = Token(surface, pos, lemma)
+            token = Token(surface, pos, lemma)
         except CorpusValidationError as exc:
             raise CorpusValidationError(f"{exc} in {here}, token {i}") from None
+        seen.setdefault(pos, {})[key] = token
     if known:
         key = obj["surface"] if len(obj) == 2 else (obj["surface"], obj["lemma"])
         seen.setdefault(obj["pos"], {})[key] = token
     return token
 
 
+# The short steps build a Token or a Sentence without its __init__, once
+# they have checked what its __post_init__ checks.
+_new = object.__new__
+_set_surface, _set_pos, _set_lemma = Token.surface.__set__, Token.pos.__set__, Token.lemma.__set__
+_set_id, _set_annotated = Sentence.id.__set__, Sentence.annotated.__set__
+_set_tokens, _set_message_type = Sentence.tokens.__set__, Sentence.message_type.__set__
+
+
 def _parse_tokens(
-    raw_tokens: list, here: str, seen: dict[str, dict], warned: list[str]
+    raw_tokens: list, where: str, sent_id: str, seen: dict[str, dict], warned: list[str]
 ) -> tuple[Token, ...]:
-    """Parse a sentence's tokens, one shared Token per (surface, pos, lemma).
+    """Parse the tokens of sentence sent_id, one shared Token per (surface, pos, lemma).
 
     seen maps a POS, then a surface, or a (surface, lemma) pair (null or
     not), to the Token of a dict with exactly those fields and values: the
     raw values of each converted dict with known fields alone, and each
-    Token's own values.  A hit proves those fields present and valid, and
-    len(raw), 2 or 3 by the key, that no other is there.  Any other token
-    goes through _parse_token on its own.
+    Token's own values.  So every POS in seen passed the full checks.  A
+    hit proves those fields present and valid, and len(raw), 2 or 3 by the
+    key, that no other is there.  A miss under a POS in seen takes one
+    short step when that POS is stripped and the surface, and the lemma
+    if there is one, are stripped, non-empty ASCII strings: those are the
+    new Token's own values, so it is built and entered under them alone.
+    Any other token goes through _parse_token, the location built then.
     """
     tokens = []
     for i, raw in enumerate(raw_tokens):
-        try:  # a non-dict, a missing field or an unhashable value raises
+        try:  # a non-dict, a missing field, a new POS or an unhashable value raises
             size = len(raw)
             key = raw["surface"] if size == 2 else (raw["surface"], raw["lemma"])
-            token = seen[raw["pos"]][key] if size <= 3 else None
+            table = seen[raw["pos"]]
+            token = table.get(key) if size <= 3 else False
         except (KeyError, TypeError):
-            token = None
-        if token is None:
-            token = _parse_token(raw, here, i, seen, warned)
+            token = False
+        if token is None:  # a miss under a POS that seen holds
+            surface, lemma = (key, None) if size == 2 else key
+            pos = raw["pos"]
+            if (
+                pos.strip() == pos
+                and type(surface) is str and surface.isascii()
+                and surface and surface.strip() == surface
+                and (
+                    size == 2
+                    or type(lemma) is str and lemma.isascii() and lemma and lemma.strip() == lemma
+                )
+            ):
+                token = table[key] = _new(Token)
+                _set_surface(token, surface)
+                _set_pos(token, pos)
+                _set_lemma(token, lemma)
+        if not token:
+            token = _parse_token(raw, f"{where}, sentence {sent_id!r}", i, seen, warned)
         tokens.append(token)
     return tuple(tokens)
 
@@ -210,6 +245,21 @@ def _parse_tokens(
 def _parse_sentence(
     obj: Any, where: str, seen: dict[str, dict], warned: list[str]
 ) -> Sentence:
+    """Check and build one sentence.  A dict of exactly an ASCII id, a bool
+    annotated and a non-empty tokens list takes one short step; anything
+    else is checked in full, its location built only then."""
+    if type(obj) is dict and len(obj) == 3:
+        sent_id, annotated, raw_tokens = obj.get("id"), obj.get("annotated"), obj.get("tokens")
+        if (
+            type(sent_id) is str and sent_id.isascii()
+            and type(annotated) is bool and type(raw_tokens) is list and raw_tokens
+        ):
+            sentence = _new(Sentence)
+            _set_id(sentence, sent_id)
+            _set_annotated(sentence, annotated)
+            _set_tokens(sentence, _parse_tokens(raw_tokens, where, sent_id, seen, warned))
+            _set_message_type(sentence, None)
+            return sentence
     if not isinstance(obj, dict):
         raise CorpusValidationError(f"sentence in {where} must be an object")
     sent_id = _require(obj, "id", str, where)
@@ -224,7 +274,7 @@ def _parse_sentence(
     raw_tokens = _require(obj, "tokens", list, here)
     if not raw_tokens:
         warned.append(f"empty sentence {sent_id!r} in {where}")
-    tokens = _parse_tokens(raw_tokens, here, seen, warned)
+    tokens = _parse_tokens(raw_tokens, where, sent_id, seen, warned)
     return Sentence(id=sent_id, annotated=annotated, tokens=tokens, message_type=message_type)
 
 

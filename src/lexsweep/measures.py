@@ -96,9 +96,10 @@ def _by_score(scores: dict[str, float]) -> list[str]:
 
 
 def _entries(lists: Iterable[list[str]]) -> tuple[list[int], list[str]]:
-    """ends and words for the union of ranked lists: the word at 0-based
-    rank r of a list of L words enters at threshold 100*r // L + 1, and
-    each word keeps its smallest threshold over the lists."""
+    """ends and words for the union of per-document ranked lists (df and
+    tf.idf): the word at 0-based rank r of a list of L words enters at
+    threshold 100*r // L + 1, and each word keeps its smallest threshold
+    over the lists."""
     entry: dict[str, int] = {}
     for ranked in lists:
         length = len(ranked)
@@ -121,7 +122,10 @@ def _ranking(index: CorpusIndex, kind: Measure) -> tuple[list[int], list[str]]:
         kept = accumulate(sizes[t] for t in range(max(sizes, default=0), -1, -1))
         return list(kept)[::-1], sorted(counts, key=counts.__getitem__, reverse=True)
     if kind is Measure.COLLECTION_FREQ:
-        return _entries([_by_score(index.collection_freq)])
+        # One list is its own order of entry: ends[t] is ceil(t*L/100), the
+        # count of ranks r with 100*r // L + 1 <= t.
+        words = _by_score(index.collection_freq)
+        return [-(-t * len(words) // 100) for t in range(101)], words
     if kind is Measure.DOCUMENT_FREQ:
         return _entries(map(_by_score, index.per_document.values()))
     n = index.n_documents

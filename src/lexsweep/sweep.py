@@ -3,7 +3,9 @@
 Percent measures sweep 1..100; inter-document frequency sweeps 1 up to
 the largest per-word document count found in the data.  Each sweep also
 selects two operating points: the globally best F-measure, and the best
-F-measure among rows whose fallout stays under a configurable cap.
+F-measure among rows whose fallout stays under a configurable cap.  F is
+compared exactly, as the fraction 2·|E ∩ M| / (|E| + |M|), and the
+smallest threshold wins a tie.
 
 A row needs only two counts, |E| and |E ∩ M|, so a sweep never builds an
 extraction per threshold (the sort-once ROC sweep of Fawcett 2006).  Every
@@ -16,6 +18,7 @@ is counted again from the extraction, so a wrong table is caught too.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from typing import Iterable
 
 from .evaluation import MetricsRow, evaluate, score
 from .lexicon import CorpusIndex
@@ -40,14 +43,23 @@ def threshold_range(kind: Measure, index: CorpusIndex) -> range:
     return range(1, len(ranking(index, kind)[0]))
 
 
-def _best(rows, fallout_cap=None) -> MetricsRow | None:
-    # Strictly-greater comparison keeps the smallest threshold on F ties.
-    best = None
+def _f_fraction(row: MetricsRow) -> tuple[int, int]:
+    """F exactly, as 2·|E ∩ M| / (|E| + |M|), and 1 when E and M are both empty."""
+    total = row.extracted_size + row.gold_size
+    return (2 * row.true_positives, total) if total else (1, 1)
+
+
+def best_row(rows: Iterable[MetricsRow], fallout_cap: float | None = None) -> MetricsRow | None:
+    """The first row of highest F, compared exactly, among those whose
+    fallout is within the cap; None if none is.  Float F can round two
+    equal fractions apart, so it is not what is compared."""
+    best, best_num, best_den = None, 0, 1
     for row in rows:
         if fallout_cap is not None and row.fallout > fallout_cap:
             continue
-        if best is None or row.f_measure > best.f_measure:
-            best = row
+        num, den = _f_fraction(row)
+        if best is None or num * best_den > best_num * den:
+            best, best_num, best_den = row, num, den
     return best
 
 
@@ -70,9 +82,9 @@ def _sweep_index(index: CorpusIndex, kind: Measure, fallout_cap: float) -> Sweep
         score(MeasureSpec(kind=kind, threshold=t), ends[t], hits[t], universe_size, gold_size)
         for t in threshold_range(kind, index)
     )
-    best = _best(rows)
+    best = best_row(rows)
     assert best is not None  # range is non-empty whenever the universe is
-    best_under_cap = _best(rows, fallout_cap)
+    best_under_cap = best_row(rows, fallout_cap)
     _check(index, best)
     _check(index, best_under_cap)
     return SweepResult(

@@ -24,6 +24,12 @@ def fixture_path() -> pathlib.Path:
 
 
 @pytest.fixture(scope="session")
+def best_f_tie_path() -> pathlib.Path:
+    """Ten nouns counted 10 down to 1, w3 and w9 gold: best F is an exact tie."""
+    return DATA_DIR / "best_f_tie_corpus.json"
+
+
+@pytest.fixture(scope="session")
 def fixture_corpus(fixture_path: pathlib.Path) -> Corpus:
     return load_corpus(fixture_path)
 

@@ -431,6 +431,21 @@ class TestSweep:
         assert main(["sweep", *corpus_arg, "--fallout-cap", "1.0", "--out", str(out_dir)]) == 0
         assert "best F under fallout cap 1.00: cf @ 26" in capsys.readouterr().out
 
+    def test_exact_f_tie_goes_to_the_first_measure(self, best_f_tie_path, tmp_path, capsys):
+        # Every measure's best F is exactly 1/3: cf, df and tfidf at 31 %,
+        # idf at 1, whose float F is the larger (0.33333333333333337).
+        corpus_arg = ["--corpus", str(best_f_tie_path)]
+        assert main(["sweep", *corpus_arg, "--fallout-cap", "1.0", "--out", str(tmp_path)]) == 0
+        lines = capsys.readouterr().out.splitlines()
+        assert lines[1:7] == [
+            "cf          31  0.3333   0.3750      31  0.3333   0.3750",
+            "df          31  0.3333   0.3750      31  0.3333   0.3750",
+            "tfidf       31  0.3333   0.3750      31  0.3333   0.3750",
+            "idf          1  0.3333   1.0000       1  0.3333   1.0000",
+            "best F: cf @ 31 (F=0.3333, fallout=0.3750)",
+            "best F under fallout cap 1.00: cf @ 31 (F=0.3333, fallout=0.3750)",
+        ]
+
     def test_fallout_cap_printed_unrounded(self, corpus_arg, tmp_path, capsys):
         out_dir = tmp_path / "capped"
         assert main(["sweep", *corpus_arg, "--fallout-cap", "0.125", "--out", str(out_dir)]) == 0

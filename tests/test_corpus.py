@@ -246,35 +246,204 @@ class TestTokenTable:
         data["documents"][0]["sentences"] = [
             sentence_dict(f"s{i}", raw[i : i + 100]) for i in range(0, len(raw), 100)
         ]
-        built, checked = [], []
-        parse_token = corpus_module._parse_token
+        built, checked, short_built = [], [], []
+        parse_token, init = corpus_module._parse_token, Token.__init__
 
-        def counting_token(*args):
+        def counting_init(self, *args):
             built.append(args)
-            return Token(*args)
+            init(self, *args)
+
+        def counting_new(cls):
+            made = object.__new__(cls)
+            if cls is Token:  # the short step, which checks what it builds
+                short_built.append(made)
+            return made
 
         def counting_parse_token(obj, *rest):
             checked.append(obj)
             return parse_token(obj, *rest)
 
-        monkeypatch.setattr(corpus_module, "Token", counting_token)
+        monkeypatch.setattr(Token, "__init__", counting_init)
+        monkeypatch.setattr(corpus_module, "_new", counting_new)
         monkeypatch.setattr(corpus_module, "_parse_token", counting_parse_token)
         with warnings.catch_warnings():
             warnings.simplefilter("ignore", CorpusWarning)
             corpus = parse_corpus(json.dumps(data))
         tokens = [tok for sentence in sentences(corpus) for tok in sentence.tokens]
+        built += [(tok.surface, tok.pos, tok.lemma) for tok in short_built]
         assert sorted(built, key=str) == [
             ("run", "NOUN", "run"), ("run", "VERB", "run"), ("run", "VERB", None)
         ]
         assert len({id(tok) for tok in tokens}) == 3
         distinct_known = {json.dumps(shape, sort_keys=True) for shape in known}
-        assert len(checked) == len(distinct_known) + raw.count(unknown)
+        assert len(checked) + len(short_built) == len(distinct_known) + raw.count(unknown)
+
+    def test_clean_tokens_and_sentences_take_the_short_steps(self, fixture_path, monkeypatch):
+        checked, sentences_built = [], []
+        parse_token, init = corpus_module._parse_token, Sentence.__init__
+
+        def counting_parse_token(obj, *rest):
+            checked.append(obj)
+            return parse_token(obj, *rest)
+
+        def counting_init(self, *args, **kwargs):
+            sentences_built.append(kwargs["id"])
+            init(self, *args, **kwargs)
+
+        monkeypatch.setattr(corpus_module, "_parse_token", counting_parse_token)
+        monkeypatch.setattr(Sentence, "__init__", counting_init)
+        corpus = parse_corpus(fixture_path.read_bytes())
+        # Every fixture token is clean: only the first of each POS is checked in full.
+        assert [tok["pos"] for tok in checked] == ["VERB", "NOUN"]
+        # Only the sentence with a message_type leaves the short step.
+        assert sentences_built == ["s1"]
+        assert corpus == oracle_parse(fixture_path.read_text())
 
     def test_unhashable_token_value_rejected(self):
         data = minimal_corpus_dict()
         data["documents"][0]["sentences"][0]["tokens"].append({"surface": ["run"], "pos": "VERB"})
         with pytest.raises(CorpusValidationError, match="'surface' in .*token 1 must be str"):
             parse_corpus(json.dumps(data))
+
+
+RUN = {"surface": "run", "pos": "VERB"}
+WHERE = "document 'd1', sentence 's1'"
+MISSING = object()
+
+
+def parse_with_warnings(parse, text: str):
+    """parse's tree (or validation error), the tokens' sharing pattern and its warnings."""
+    with warnings.catch_warnings(record=True) as caught:
+        warnings.simplefilter("always")
+        try:
+            result = parse(text)
+        except CorpusValidationError as exc:
+            result = exc
+    messages = [str(w.message) for w in caught if issubclass(w.category, CorpusWarning)]
+    if isinstance(result, CorpusValidationError):
+        return str(result), None, messages
+    first: dict[int, int] = {}
+    shared = [first.setdefault(id(tok), i) for i, tok in enumerate(
+        tok for sentence in sentences(result) for tok in sentence.tokens
+    )]
+    return result, shared, messages
+
+
+class TestShortSteps:
+    """Inputs that must leave the short steps get the full checks: the
+    oracle's tree, token sharing and warnings, or its error text."""
+
+    @pytest.mark.parametrize(
+        "tokens, error, warned",
+        [
+            ([RUN, {"surface": " walk", "pos": "VERB"}, {"surface": "walk", "pos": "VERB"}],
+             None, []),
+            ([RUN, {"surface": "walk\n", "pos": "VERB", "lemma": "walk"},
+              {"surface": "walk", "pos": "VERB", "lemma": "walk"}], None, []),
+            ([RUN, {"surface": "walk", "pos": " VERB"}, {"surface": "walk", "pos": "VERB"}],
+             None, []),
+            ([{"surface": "run", "pos": "VERB\t"}, {"surface": "walk", "pos": "VERB\t"},
+              {"surface": "walk", "pos": "VERB"}], None, []),
+            ([RUN, {"surface": "café", "pos": "VERB"}, {"surface": "café", "pos": "VERB"}],
+             None, []),
+            ([RUN, {"surface": "walk", "pos": "VERB", "lemma": "wälk"}], None, []),
+            ([RUN, {"surface": "bad\ud800", "pos": "VERB"}],
+             f"field 'surface' in {WHERE}, token 1 contains a lone surrogate", []),
+            ([RUN, {"surface": "walk", "pos": "VERB", "lemma": "bad\ud800"}],
+             f"field 'lemma' in {WHERE}, token 1 contains a lone surrogate", []),
+            ([RUN, {"surface": "  ", "pos": "VERB"}],
+             f"empty token surface in {WHERE}, token 1", []),
+            ([RUN, {"surface": "", "pos": "VERB", "lemma": "run"}],
+             f"empty token surface in {WHERE}, token 1", []),
+            ([RUN, {"surface": 5, "pos": "VERB"}],
+             f"field 'surface' in {WHERE}, token 1 must be str, got int", []),
+            ([RUN, {"surface": "walk", "pos": "VERB", "lemma": 5}],
+             f"field 'lemma' in {WHERE}, token 1 must be a string", []),
+            ([RUN, {"surface": "run", "pos": "VERB", "lemma": None},
+              {"surface": "walk", "pos": "VERB", "lemma": None}, {"surface": "walk", "pos": "VERB"}],
+             None, []),
+            ([RUN, {"surface": "walk", "pos": "VERB", "lemma": ""},
+              {"surface": "walk", "pos": "VERB", "lemma": " "}, {"surface": "walk", "pos": "VERB"}],
+             None, []),
+            ([RUN, {"surface": "walk", "pos": "VERB", "lemma": " walk "},
+              {"surface": "walk", "pos": "VERB", "lemma": "walk"}], None, []),
+            ([RUN, {"surface": "walk", "pos": "VERB", "morph": "x"},
+              {"surface": "walk", "pos": "VERB"}],
+             None, [f"ignoring unknown field(s) 'morph' in {WHERE}, token 1"]),
+            ([RUN, {"surface": "walk", "morph": "x", "lemma": "walk"}],
+             f"missing field 'pos' in {WHERE}, token 1",
+             [f"ignoring unknown field(s) 'morph' in {WHERE}, token 1"]),
+            ([RUN, {"surface": "walk", "pos": "NOUN"}, {"surface": "run", "pos": "NOUN"}],
+             None, []),
+            ([RUN, {"surface": "walk", "pos": ""}], f"empty token pos in {WHERE}, token 1", []),
+            ([{"surface": "run", "pos": " "}], f"empty token pos in {WHERE}, token 0", []),
+            ([RUN, {"surface": "walk", "pos": "N\ud800"}],
+             f"field 'pos' in {WHERE}, token 1 contains a lone surrogate", []),
+            ([RUN, {"surface": "walk", "pos": 5}],
+             f"field 'pos' in {WHERE}, token 1 must be str, got int", []),
+            ([RUN, ["run", "VERB"]], f"token in {WHERE}, token 1 must be an object", []),
+            ([RUN, "ab"], f"token in {WHERE}, token 1 must be an object", []),
+        ],
+        ids=[
+            "unstripped-surface", "unstripped-surface-with-lemma", "unstripped-pos",
+            "unstripped-pos-already-a-key", "non-ascii-surface", "non-ascii-lemma",
+            "surrogate-surface", "surrogate-lemma", "blank-surface", "empty-surface",
+            "non-str-surface", "non-str-lemma", "null-lemma", "blank-lemma", "padded-lemma",
+            "unknown-field", "unknown-field-in-three", "first-of-a-pos", "first-of-a-pos-empty",
+            "first-token-blank-pos", "first-of-a-pos-surrogate", "first-of-a-pos-non-str",
+            "non-dict-list", "non-dict-str",
+        ],
+    )
+    def test_token_gets_the_full_checks(self, tokens, error, warned):
+        data = minimal_corpus_dict()
+        data["documents"][0]["sentences"][0]["tokens"] = tokens
+        self._check(json.dumps(data), error, warned)
+
+    @pytest.mark.parametrize(
+        "fields, error, warned",
+        [
+            ({"annotated": True, "message_type": "kidnap"}, None, []),
+            ({"message_type": "kidnap"},
+             "sentence 's1' carries message_type 'kidnap' but is not annotated", []),
+            ({"annotated": 1},
+             "field 'annotated' in document 'd1', sentence 's1' must be bool, got int", []),
+            ({"tokens": []}, None, ["empty sentence 's1' in document 'd1'"]),
+            ({"tokens": {}},
+             "field 'tokens' in document 'd1', sentence 's1' must be list, got dict", []),
+            ({"id": "sé"}, None, []),
+            ({"id": "s\ud800"}, "field 'id' in document 'd1' contains a lone surrogate", []),
+            ({"id": 1}, "field 'id' in document 'd1' must be str, got int", []),
+            ({"note": "x"}, None, ["ignoring unknown field(s) 'note' in document 'd1', sentence 's1'"]),
+            ({"note": "x", "tokens": MISSING}, "missing field 'tokens' in document 'd1', sentence 's1'",
+             ["ignoring unknown field(s) 'note' in document 'd1', sentence 's1'"]),
+        ],
+        ids=[
+            "message-type", "message-type-not-annotated", "non-bool-annotated", "empty-tokens",
+            "non-list-tokens", "non-ascii-id", "surrogate-id", "non-str-id", "unknown-field",
+            "unknown-field-in-three",
+        ],
+    )
+    def test_sentence_gets_the_full_checks(self, fields, error, warned):
+        data = minimal_corpus_dict()
+        sentence = {"id": "s1", "annotated": False, "tokens": [RUN, {"surface": "walk", "pos": "VERB"}]}
+        sentence.update(fields)
+        if sentence["tokens"] is MISSING:
+            del sentence["tokens"]
+        data["documents"][0]["sentences"] = [sentence, sentence_dict("s2", [RUN])]
+        self._check(json.dumps(data), error, warned)
+
+    def test_non_dict_sentence_is_rejected(self):
+        data = minimal_corpus_dict()
+        data["documents"][0]["sentences"].append(["s2", False, []])
+        self._check(json.dumps(data), "sentence in document 'd1' must be an object", [])
+
+    @staticmethod
+    def _check(text, error, warned):
+        parsed = parse_with_warnings(parse_corpus, text)
+        assert parsed == parse_with_warnings(oracle_parse, text)
+        result, _, messages = parsed
+        assert messages == warned
+        assert (result if error is not None else None) == error
 
 
 class TestLoneSurrogates:

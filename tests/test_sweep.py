@@ -1,16 +1,20 @@
 import dataclasses
 from collections import Counter
+from fractions import Fraction
 
 import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
-from lexsweep import FilterConfig, Measure, MeasureSpec, build_index, evaluate, run_all_sweeps
+from lexsweep import (
+    FilterConfig, Measure, MeasureSpec, build_index, evaluate, load_corpus, run_all_sweeps,
+)
 from lexsweep import sweep
 from lexsweep.corpus import Corpus, Document, Sentence, Token
 from lexsweep.lexicon import WordKeySource
 from lexsweep.measures import ranking
-from lexsweep.sweep import threshold_range
+from lexsweep.evaluation import score
+from lexsweep.sweep import best_row, threshold_range
 
 from gencorpus import POS_POOL, WORD_POOL, corpora
 from oracle import oracle_extract, oracle_gold, oracle_universe
@@ -139,6 +143,62 @@ def test_cap_row_never_exceeds_cap(fixture_corpus, config):
             if result.best_f_under_cap is not None:
                 assert result.best_f_under_cap.fallout <= cap
                 assert result.best_f_under_cap.f_measure <= result.best_f.f_measure
+
+
+def exact_f(row) -> Fraction:
+    total = row.extracted_size + row.gold_size
+    return Fraction(2 * row.true_positives, total) if total else Fraction(1)
+
+
+def rows_from_counts(gold_size, non_gold, counts):
+    """Sweep rows at thresholds 1, 2, ... from (|E|, |E ∩ M|) pairs."""
+    spec = MeasureSpec(Measure.COLLECTION_FREQ, 1)
+    return [
+        dataclasses.replace(score(spec, e, tp, gold_size + non_gold, gold_size), threshold=t)
+        for t, (e, tp) in enumerate(counts, start=1)
+    ]
+
+
+@st.composite
+def count_rows(draw):
+    gold_size, non_gold = draw(st.integers(0, 60)), draw(st.integers(0, 60))
+    pairs = st.tuples(st.integers(0, gold_size), st.integers(0, non_gold))
+    counts = draw(st.lists(pairs.map(lambda p: (p[0] + p[1], p[0])), min_size=1, max_size=30))
+    return rows_from_counts(gold_size, non_gold, counts)
+
+
+CAPS = st.none() | st.sampled_from([0.0, 0.1, 0.375, 0.5, 1.0])
+
+
+class TestExactBestF:
+    """Best F is chosen on the exact fraction 2·|E ∩ M| / (|E| + |M|)."""
+
+    def test_tie_that_rounds_apart_goes_to_the_smaller_threshold(self, best_f_tie_path, config):
+        # Ten nouns counted 10 down to 1; the one annotated sentence holds w3
+        # and w9.  At 31 % a percent measure keeps 4 words with 1 gold, at
+        # 91 % all 10 with 2: F is 1/3 at both, but the floats differ.
+        index = build_index(load_corpus(best_f_tie_path), config)
+        for result in run_all_sweeps(index, fallout_cap=0.5):
+            if result.measure is Measure.INTERDOC_FREQ:
+                continue
+            at_31, at_91 = result.rows[30], result.rows[90]
+            assert (at_31.extracted_size, at_31.true_positives) == (4, 1)
+            assert (at_91.extracted_size, at_91.true_positives) == (10, 2)
+            assert at_91.f_measure > at_31.f_measure  # the float rounding
+            assert result.best_f == at_31
+            assert result.best_f.fallout == 0.375
+            assert result.best_f_under_cap == at_31
+
+    @given(rows=count_rows(), cap=CAPS)
+    @example(rows=rows_from_counts(2, 8, [(4, 1), (10, 2), (0, 0)]), cap=None)
+    @example(rows=rows_from_counts(0, 1, [(1, 0), (0, 0), (1, 0)]), cap=0.0)
+    def test_matches_a_fraction_argmax(self, rows, cap):
+        for row in rows:  # F's float is the fraction, rounded
+            assert row.f_measure == pytest.approx(float(exact_f(row)))
+        kept = [row for row in rows if cap is None or row.fallout <= cap]
+        top = max(map(exact_f, kept), default=None)
+        expected = next((row for row in kept if exact_f(row) == top), None)
+        assert best_row(rows, cap) is expected
 
 
 def _corpus(*documents):
