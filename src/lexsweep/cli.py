@@ -23,7 +23,7 @@ from .lexicon import (
     load_stopwords,
 )
 from .measures import Measure, MeasureSpec, extract
-from .reporting import write_report_bundle
+from .reporting import FIELDS, row_values, write_report_bundle
 from .sweep import DEFAULT_FALLOUT_CAP, best_row, run_all_sweeps
 
 _STATS_LABELS = (
@@ -52,7 +52,7 @@ def _build_parser() -> argparse.ArgumentParser:
         "--pos",
         action="append",
         metavar="TAG",
-        help="content POS tag; repeatable (default: VERB, NOUN)",
+        help="content POS tag; repeatable (default: VERB, NOUN); a blank tag is a usage error",
     )
     common.add_argument(
         "--word-key",
@@ -157,21 +157,9 @@ def _write_words(words, out: str | None) -> None:
         sys.stdout.write(text)
 
 
-def _print_metrics(row: MetricsRow) -> None:
-    pairs = [
-        ("measure", row.measure.value),
-        ("threshold", str(row.threshold)),
-        ("precision", f"{row.precision:.4f}"),
-        ("recall", f"{row.recall:.4f}"),
-        ("f_measure", f"{row.f_measure:.4f}"),
-        ("fallout", f"{row.fallout:.4f}"),
-        ("extracted_size", str(row.extracted_size)),
-        ("true_positives", str(row.true_positives)),
-        ("universe_size", str(row.universe_size)),
-        ("gold_size", str(row.gold_size)),
-    ]
-    width = max(len(name) for name, _ in pairs) + 1
-    for name, value in pairs:
+def _print_aligned(names, values) -> None:
+    width = max(map(len, names)) + 1
+    for name, value in zip(names, values):
         print(f"{name + ':':<{width}} {value}")
 
 
@@ -185,14 +173,13 @@ def _cmd_validate(args) -> int:
 def _cmd_stats(args) -> int:
     corpus = load_corpus(args.corpus)
     stats = compute_stats(corpus, _filter_config(args))
+    labels, fields = zip(*_STATS_LABELS)
+    values = [getattr(stats, field) for field in fields]
     if args.csv:
-        fields = [field for _, field in _STATS_LABELS]
         print(",".join(fields))
-        print(",".join(str(getattr(stats, field)) for field in fields))
+        print(",".join(map(str, values)))
     else:
-        width = max(len(label) for label, _ in _STATS_LABELS) + 1
-        for label, field in _STATS_LABELS:
-            print(f"{label + ':':<{width}} {getattr(stats, field)}")
+        _print_aligned(labels, values)
     return 0
 
 
@@ -218,7 +205,7 @@ def _cmd_extract(args) -> int:
 def _cmd_evaluate(args) -> int:
     index, spec = _extraction_point(args)
     row = evaluate(extract(index, spec), index.gold, index.words, spec)
-    _print_metrics(row)
+    _print_aligned(FIELDS, row_values(row))
     return 0
 
 
@@ -229,39 +216,41 @@ def _format_cap(cap: float) -> str:
     return text if float(text) == cap else repr(cap)
 
 
+# A measure, then threshold, F and fallout at its best F and best F under the cap.
+_SWEEP_ROW = "{:<8} {:>5} {:>7} {:>8}   {:>5} {:>7} {:>8}"
+
+
+def _cells(row: MetricsRow | None) -> tuple:
+    """A selected row's threshold, F and fallout as printed, or dashes for no row."""
+    if row is None:
+        return ("-", "-", "-")
+    return (row.threshold, f"{row.f_measure:.4f}", f"{row.fallout:.4f}")
+
+
+def _point(row: MetricsRow | None) -> str:
+    """A winner as `measure @ threshold (F=…, fallout=…)`, or none."""
+    if row is None:
+        return "none"
+    return "{} @ {} (F={}, fallout={})".format(row.measure.value, *_cells(row))
+
+
 def _cmd_sweep(args) -> int:
     index = build_index(load_corpus(args.corpus), _filter_config(args))
     results = run_all_sweeps(index, fallout_cap=args.fallout_cap)
     write_report_bundle(results, args.out)
 
-    header = f"{'measure':<8} {'thr':>5} {'F':>7} {'fallout':>8}   {'thr*':>5} {'F*':>7} {'fallout*':>8}"
-    print(header)
+    print(_SWEEP_ROW.format("measure", "thr", "F", "fallout", "thr*", "F*", "fallout*"))
     for result in results:
-        best = result.best_f
-        line = f"{result.measure.value:<8} {best.threshold:>5} {best.f_measure:>7.4f} {best.fallout:>8.4f}"
-        capped = result.best_f_under_cap
-        if capped is not None:
-            line += f"   {capped.threshold:>5} {capped.f_measure:>7.4f} {capped.fallout:>8.4f}"
-        else:
-            line += f"   {'-':>5} {'-':>7} {'-':>8}"
-        print(line)
+        cells = (*_cells(result.best_f), *_cells(result.best_f_under_cap))
+        print(_SWEEP_ROW.format(result.measure.value, *cells))
 
     # Rows compared by exact F; a tie goes to the first measure in Measure order.
     best = best_row(result.best_f for result in results)
-    print(
-        f"best F: {best.measure.value} @ {best.threshold} "
-        f"(F={best.f_measure:.4f}, fallout={best.fallout:.4f})"
-    )
     capped = best_row(
         result.best_f_under_cap for result in results if result.best_f_under_cap is not None
     )
-    if capped is not None:
-        print(
-            f"best F under fallout cap {_format_cap(args.fallout_cap)}: {capped.measure.value} "
-            f"@ {capped.threshold} (F={capped.f_measure:.4f}, fallout={capped.fallout:.4f})"
-        )
-    else:
-        print(f"best F under fallout cap {_format_cap(args.fallout_cap)}: none")
+    print(f"best F: {_point(best)}")
+    print(f"best F under fallout cap {_format_cap(args.fallout_cap)}: {_point(capped)}")
     print(f"report written to {args.out}")
     return 0
 

@@ -47,6 +47,8 @@ class FilterConfig:
     def __post_init__(self) -> None:
         if not self.content_pos:
             raise ValueError("content_pos must not be empty")
+        if not all(map(str.strip, self.content_pos)):
+            raise ValueError("content_pos must not hold a blank tag")
 
 
 @dataclass(frozen=True)

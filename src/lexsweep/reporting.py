@@ -1,10 +1,10 @@
 """CSV tables and SVG sweep curves for sweep results.
 
-Each renderer returns the text of one file.  Output is byte-deterministic:
-fixed 4-decimal formatting, LF line endings, UTF-8, and no timestamps or
-external references, so identical sweeps serialize identically.  A report
-bundle is written all or nothing, so an error leaves no partial report
-behind.
+A metrics row has one text form, row_values: the ten FIELDS in order,
+ratios to four decimals, for the CSVs and `lexsweep evaluate` alike.
+Each renderer returns the text of one file, byte-deterministic: LF line
+endings, UTF-8, no timestamps or external references.  A report bundle
+is written all or nothing, so an error leaves no partial report behind.
 """
 
 from __future__ import annotations
@@ -20,26 +20,28 @@ from typing import Iterable, Sequence
 from .evaluation import MetricsRow
 from .sweep import SweepResult
 
-CSV_HEADER = (
-    "measure,threshold,precision,recall,f_measure,fallout,"
-    "extracted_size,true_positives,universe_size,gold_size"
+FIELDS = (
+    "measure", "threshold", "precision", "recall", "f_measure", "fallout",
+    "extracted_size", "true_positives", "universe_size", "gold_size",
 )
+CSV_HEADER = ",".join(FIELDS)
+SUMMARY_HEADER = ",".join(("measure", "selection", *FIELDS[1:]))
 
-SUMMARY_HEADER = "measure,selection," + CSV_HEADER.split(",", 1)[1]
 
-
-def _format_row(row: MetricsRow) -> str:
+def row_values(row: MetricsRow) -> tuple[str, ...]:
+    """A row's values as text, in FIELDS order, ratios to four decimals."""
     return (
-        f"{row.measure.value},{row.threshold},"
-        f"{row.precision:.4f},{row.recall:.4f},{row.f_measure:.4f},{row.fallout:.4f},"
-        f"{row.extracted_size},{row.true_positives},{row.universe_size},{row.gold_size}"
+        row.measure.value, str(row.threshold),
+        f"{row.precision:.4f}", f"{row.recall:.4f}", f"{row.f_measure:.4f}", f"{row.fallout:.4f}",
+        str(row.extracted_size), str(row.true_positives),
+        str(row.universe_size), str(row.gold_size),
     )
 
 
 def format_csv(result: SweepResult) -> str:
     """One sweep as CSV text, one line per threshold."""
     lines = [CSV_HEADER]
-    lines.extend(_format_row(row) for row in result.rows)
+    lines.extend(",".join(row_values(row)) for row in result.rows)
     return "\n".join(lines) + "\n"
 
 
@@ -47,12 +49,10 @@ def format_summary_csv(results: Sequence[SweepResult]) -> str:
     """Each sweep's selected operating points as CSV text."""
     lines = [SUMMARY_HEADER]
     for result in results:
-        lines.append(f"{result.measure.value},best_f," + _format_row(result.best_f).split(",", 1)[1])
-        if result.best_f_under_cap is not None:
-            lines.append(
-                f"{result.measure.value},best_f_under_cap,"
-                + _format_row(result.best_f_under_cap).split(",", 1)[1]
-            )
+        for selection in ("best_f", "best_f_under_cap"):
+            row = getattr(result, selection)
+            if row is not None:
+                lines.append(",".join((row.measure.value, selection, *row_values(row)[1:])))
     return "\n".join(lines) + "\n"
 
 
@@ -69,10 +69,11 @@ _SERIES = (
 
 _WIDTH = 960
 _HEIGHT = 560
-_MARGIN_LEFT = 70
-_MARGIN_RIGHT = 190
-_MARGIN_TOP = 60
-_MARGIN_BOTTOM = 70
+# The plot area's edges, in pixels from the image's left and top.
+_LEFT = 70
+_RIGHT = _WIDTH - 190
+_TOP = 60
+_BOTTOM = _HEIGHT - 70
 
 
 def _x_ticks(t_min: int, t_max: int) -> list[int]:
@@ -87,6 +88,20 @@ def _x_ticks(t_min: int, t_max: int) -> list[int]:
     return ticks
 
 
+def _line(x1, y1, x2, y2, stroke: str, width: str, extra: str = "") -> str:
+    return (
+        f'<line x1="{x1}" y1="{y1}" x2="{x2}" y2="{y2}" '
+        f'stroke="{stroke}" stroke-width="{width}"{extra}/>'
+    )
+
+
+def _text(x, y, anchor: str, size: int, body) -> str:
+    return (
+        f'<text x="{x}" y="{y}" text-anchor="{anchor}" '
+        f'font-size="{size}" font-family="sans-serif">{body}</text>'
+    )
+
+
 def render_svg(result: SweepResult) -> str:
     """Render a sweep as the text of a self-contained SVG line chart.
 
@@ -97,86 +112,56 @@ def render_svg(result: SweepResult) -> str:
     if not result.rows:
         raise ValueError("need at least 1 row to plot")
 
-    plot_left = _MARGIN_LEFT
-    plot_right = _WIDTH - _MARGIN_RIGHT
-    plot_top = _MARGIN_TOP
-    plot_bottom = _HEIGHT - _MARGIN_BOTTOM
-    plot_width = plot_right - plot_left
-    plot_height = plot_bottom - plot_top
+    plot_width = _RIGHT - _LEFT
+    plot_height = _BOTTOM - _TOP
+    center = f"{(_LEFT + _RIGHT) / 2:.1f}"
 
     t_min = result.rows[0].threshold
     t_max = result.rows[-1].threshold
 
     def x_px(threshold: int) -> float:
         if t_min == t_max:
-            return plot_left + plot_width / 2
-        return plot_left + (threshold - t_min) / (t_max - t_min) * plot_width
+            return _LEFT + plot_width / 2
+        return _LEFT + (threshold - t_min) / (t_max - t_min) * plot_width
 
     def y_px(value: float) -> float:
-        return plot_bottom - value * plot_height
+        return _BOTTOM - value * plot_height
 
     unit = "%" if result.measure.is_percent else " docs"
     lines = [
         f'<svg xmlns="http://www.w3.org/2000/svg" width="{_WIDTH}" height="{_HEIGHT}" '
         f'viewBox="0 0 {_WIDTH} {_HEIGHT}">',
         f'<rect x="0" y="0" width="{_WIDTH}" height="{_HEIGHT}" fill="#ffffff"/>',
-        f'<text x="{(plot_left + plot_right) / 2:.1f}" y="32" text-anchor="middle" '
-        f'font-size="20" font-family="sans-serif">{result.measure.label} sweep</text>',
+        _text(center, 32, "middle", 20, f"{result.measure.label} sweep"),
     ]
 
     # Horizontal grid and y labels at 0.0 .. 1.0.
     for i in range(11):
         value = i / 10
         y = y_px(value)
-        lines.append(
-            f'<line x1="{plot_left}" y1="{y:.2f}" x2="{plot_right}" y2="{y:.2f}" '
-            f'stroke="#dddddd" stroke-width="1"/>'
-        )
+        lines.append(_line(_LEFT, f"{y:.2f}", _RIGHT, f"{y:.2f}", "#dddddd", "1"))
         if i % 2 == 0:
-            lines.append(
-                f'<text x="{plot_left - 8}" y="{y + 4:.2f}" text-anchor="end" '
-                f'font-size="12" font-family="sans-serif">{value:.1f}</text>'
-            )
+            lines.append(_text(_LEFT - 8, f"{y + 4:.2f}", "end", 12, f"{value:.1f}"))
 
     # Axes.
-    lines.append(
-        f'<line x1="{plot_left}" y1="{plot_bottom}" x2="{plot_right}" y2="{plot_bottom}" '
-        f'stroke="#000000" stroke-width="1.5"/>'
-    )
-    lines.append(
-        f'<line x1="{plot_left}" y1="{plot_top}" x2="{plot_left}" y2="{plot_bottom}" '
-        f'stroke="#000000" stroke-width="1.5"/>'
-    )
+    lines.append(_line(_LEFT, _BOTTOM, _RIGHT, _BOTTOM, "#000000", "1.5"))
+    lines.append(_line(_LEFT, _TOP, _LEFT, _BOTTOM, "#000000", "1.5"))
     for tick in _x_ticks(t_min, t_max):
-        x = x_px(tick)
-        lines.append(
-            f'<line x1="{x:.2f}" y1="{plot_bottom}" x2="{x:.2f}" y2="{plot_bottom + 5}" '
-            f'stroke="#000000" stroke-width="1"/>'
-        )
-        lines.append(
-            f'<text x="{x:.2f}" y="{plot_bottom + 20}" text-anchor="middle" '
-            f'font-size="12" font-family="sans-serif">{tick}</text>'
-        )
-    lines.append(
-        f'<text x="{(plot_left + plot_right) / 2:.1f}" y="{_HEIGHT - 22}" '
-        f'text-anchor="middle" font-size="14" font-family="sans-serif">'
-        f'threshold ({result.measure.value}{unit})</text>'
-    )
+        x = f"{x_px(tick):.2f}"
+        lines.append(_line(x, _BOTTOM, x, _BOTTOM + 5, "#000000", "1"))
+        lines.append(_text(x, _BOTTOM + 20, "middle", 12, tick))
+    axis_label = f"threshold ({result.measure.value}{unit})"
+    lines.append(_text(center, _HEIGHT - 22, "middle", 14, axis_label))
 
     # Best-F marker.
-    best_x = x_px(result.best_f.threshold)
-    lines.append(
-        f'<line x1="{best_x:.2f}" y1="{plot_top}" x2="{best_x:.2f}" y2="{plot_bottom}" '
-        f'stroke="#555555" stroke-width="1" stroke-dasharray="5,4"/>'
-    )
-    lines.append(
-        f'<text x="{best_x + 4:.2f}" y="{plot_top + 14}" text-anchor="start" '
-        f'font-size="12" font-family="sans-serif">best F @ {result.best_f.threshold}</text>'
-    )
+    best = result.best_f.threshold
+    x = f"{x_px(best):.2f}"
+    lines.append(_line(x, _TOP, x, _BOTTOM, "#555555", "1", ' stroke-dasharray="5,4"'))
+    lines.append(_text(f"{x_px(best) + 4:.2f}", _TOP + 14, "start", 12, f"best F @ {best}"))
 
     # One polyline per metric, plus legend.
-    legend_x = plot_right + 24
-    legend_y = plot_top + 10
+    legend_x = _RIGHT + 24
+    legend_y = _TOP + 10
     for i, (label, attr, color) in enumerate(_SERIES):
         points = " ".join(
             f"{x_px(row.threshold):.2f},{y_px(getattr(row, attr)):.2f}"
@@ -190,14 +175,8 @@ def render_svg(result: SweepResult) -> str:
             x, y = points.split(",")
             lines.append(f'<circle cx="{x}" cy="{y}" r="4" fill="{color}"/>')
         ly = legend_y + i * 22
-        lines.append(
-            f'<line x1="{legend_x}" y1="{ly}" x2="{legend_x + 24}" y2="{ly}" '
-            f'stroke="{color}" stroke-width="2"/>'
-        )
-        lines.append(
-            f'<text x="{legend_x + 30}" y="{ly + 4}" text-anchor="start" '
-            f'font-size="13" font-family="sans-serif">{label}</text>'
-        )
+        lines.append(_line(legend_x, ly, legend_x + 24, ly, color, "2"))
+        lines.append(_text(legend_x + 30, ly + 4, "start", 13, label))
 
     lines.append("</svg>")
     return "\n".join(lines) + "\n"
@@ -232,10 +211,11 @@ def write_report_bundle(results: Iterable[SweepResult], out_dir) -> None:
     directory beside out_dir.  A new out_dir is that directory, renamed.
     Into an existing one the nine files are moved one by one, after a
     check that none of their names is taken by a directory or other
-    non-regular file; its other files are left alone.  A render error, a
-    write error or a blocked name leaves out_dir as it was, and the
-    temporary directory, and any missing parents of out_dir made for it,
-    are removed.
+    non-regular file; its other files are left alone.  An out_dir that is
+    a file or a dangling symlink raises NotADirectoryError naming it,
+    before anything is written.  A render error, a write error or a
+    blocked name leaves out_dir as it was, and the temporary directory,
+    and any missing parents of out_dir made for it, are removed.
     """
     results = list(results)
     files = {}
@@ -244,6 +224,8 @@ def write_report_bundle(results: Iterable[SweepResult], out_dir) -> None:
         files[f"{result.measure.value}.svg"] = render_svg(result)
     files["summary.csv"] = format_summary_csv(results)
     out_dir = Path(out_dir)
+    if os.path.lexists(out_dir) and not out_dir.is_dir():
+        raise NotADirectoryError(errno.ENOTDIR, os.strerror(errno.ENOTDIR), str(out_dir))
     missing = list(takewhile(lambda parent: not parent.exists(), out_dir.parents))
     # not tempfile.mkdtemp: its mode 0700 would become the report's on rename
     staging = out_dir.parent / f".{out_dir.name}.{os.urandom(8).hex()}.tmp"

@@ -212,6 +212,17 @@ class TestStats:
         assert values["Distinct Content Words (corpus)"] == 4
         assert values["Distinct Content Words (messages)"] == 2
 
+    def test_text_output_exact_bytes(self, corpus_arg, capsys):
+        assert main(["stats", *corpus_arg]) == 0
+        assert capsys.readouterr().out == (
+            "Documents:                         2\n"
+            "Tokens:                            9\n"
+            "Sentences:                         3\n"
+            "Annotated Sentences:               1\n"
+            "Distinct Content Words (corpus):   4\n"
+            "Distinct Content Words (messages): 2\n"
+        )
+
     def test_csv_output(self, corpus_arg, capsys):
         assert main(["stats", "--csv", *corpus_arg]) == 0
         lines = capsys.readouterr().out.splitlines()
@@ -224,6 +235,15 @@ class TestStats:
     def test_pos_flag(self, corpus_arg, capsys):
         assert main(["stats", "--csv", "--pos", "VERB", *corpus_arg]) == 0
         assert capsys.readouterr().out.splitlines()[1] == "2,9,3,1,2,1"
+
+    @pytest.mark.parametrize("pos", [[""], ["VERB", " "]], ids=["empty", "blank-beside-verb"])
+    def test_blank_pos_is_a_usage_error(self, pos, corpus_arg, capsys):
+        flags = [arg for tag in pos for arg in ("--pos", tag)]
+        assert main(["stats", *flags, *corpus_arg]) == 2
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err.startswith("usage: lexsweep stats")
+        assert captured.err.endswith("\nerror: content_pos must not hold a blank tag\n")
 
     def test_word_key_surface(self, corpus_arg, capsys):
         assert main(["stats", "--csv", "--word-key", "surface", *corpus_arg]) == 0
@@ -333,6 +353,30 @@ class TestEvaluate:
         assert values["fallout"] == "0.5000"
 
 
+    @pytest.mark.parametrize(
+        "measure, expected",
+        [
+            ("cf", ("cf", "1.0000", "1.0000", "1.0000", "0.0000", "2")),
+            ("df", ("df", "0.6667", "1.0000", "0.8000", "0.5000", "3")),
+        ],
+    )
+    def test_exact_bytes(self, measure, expected, corpus_arg, capsys):
+        assert main(["evaluate", *corpus_arg, "--measure", measure, "--threshold", "50"]) == 0
+        name, precision, recall, f, fallout, extracted = expected
+        assert capsys.readouterr().out == (
+            f"measure:        {name}\n"
+            "threshold:      50\n"
+            f"precision:      {precision}\n"
+            f"recall:         {recall}\n"
+            f"f_measure:      {f}\n"
+            f"fallout:        {fallout}\n"
+            f"extracted_size: {extracted}\n"
+            "true_positives: 2\n"
+            "universe_size:  4\n"
+            "gold_size:      2\n"
+        )
+
+
 # Leaf values a hostile or careless corpus file may hold anywhere.
 LEAVES = st.one_of(
     st.none(),
@@ -418,6 +462,37 @@ class TestSweep:
         assert "best F under fallout cap 0.10: cf @ 26" in out
         assert f"report written to {out_dir}" in out
 
+    def test_prints_exact_bytes(self, corpus_arg, tmp_path, capsys):
+        out_dir = tmp_path / "report"
+        assert main(["sweep", *corpus_arg, "--out", str(out_dir)]) == 0
+        assert capsys.readouterr().out == (
+            "measure    thr       F  fallout    thr*      F* fallout*\n"
+            "cf          26  1.0000   0.0000      26  1.0000   0.0000\n"
+            "df          34  0.8000   0.5000       -       -        -\n"
+            "tfidf       51  0.6667   1.0000       -       -        -\n"
+            "idf          1  0.6667   1.0000       2  0.6667   0.0000\n"
+            "best F: cf @ 26 (F=1.0000, fallout=0.0000)\n"
+            "best F under fallout cap 0.10: cf @ 26 (F=1.0000, fallout=0.0000)\n"
+            f"report written to {out_dir}\n"
+        )
+
+    def test_prints_dashes_and_none_with_no_point_under_the_cap(
+        self, best_f_tie_path, tmp_path, capsys
+    ):
+        out_dir = tmp_path / "report"
+        args = ["sweep", "--corpus", str(best_f_tie_path), "--fallout-cap", "0"]
+        assert main([*args, "--out", str(out_dir)]) == 0
+        assert capsys.readouterr().out == (
+            "measure    thr       F  fallout    thr*      F* fallout*\n"
+            "cf          31  0.3333   0.3750       -       -        -\n"
+            "df          31  0.3333   0.3750       -       -        -\n"
+            "tfidf       31  0.3333   0.3750       -       -        -\n"
+            "idf          1  0.3333   1.0000       -       -        -\n"
+            "best F: cf @ 31 (F=0.3333, fallout=0.3750)\n"
+            "best F under fallout cap 0.00: none\n"
+            f"report written to {out_dir}\n"
+        )
+
     def test_repeat_runs_byte_identical(self, corpus_arg, tmp_path):
         first = tmp_path / "a"
         second = tmp_path / "b"
@@ -466,6 +541,19 @@ class TestSweep:
         args = ["sweep", *corpus_arg, "--out", str(blocker / "sub")]
         assert main(args) == 1
         assert "error:" in capsys.readouterr().err
+
+    @pytest.mark.parametrize("kind", ["file", "dangling-symlink"])
+    def test_non_directory_out_is_named(self, kind, corpus_arg, tmp_path, capsys):
+        out = tmp_path / "f"
+        if kind == "file":
+            out.touch()
+        else:
+            out.symlink_to(tmp_path / "nowhere")
+        assert main(["sweep", *corpus_arg, "--out", str(out)]) == 1
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err == f"error: [Errno 20] Not a directory: '{out}'\n"
+        assert list(tmp_path.iterdir()) == [out]
 
     def test_staging_error_names_the_out_dir(self, corpus_arg, tmp_path, monkeypatch, capsys):
         mkdir = Path.mkdir

@@ -63,6 +63,11 @@ class TestNormalize:
         with pytest.raises(ValueError, match="content_pos"):
             FilterConfig(content_pos=frozenset())
 
+    @pytest.mark.parametrize("blank", ["", " ", "\t\n"])
+    def test_blank_content_pos_tag_rejected(self, blank):
+        with pytest.raises(ValueError, match="^content_pos must not hold a blank tag$"):
+            FilterConfig(content_pos=frozenset({"NOUN", blank}))
+
     @given(corpus=corpora())
     def test_normalized_keys_are_fixed_points(self, corpus):
         config = FilterConfig()

@@ -312,6 +312,23 @@ class TestBundle:
             write_report_bundle(all_sweeps, out_dir)
         assert raised.value.filename == str(out_dir / "df.csv")
 
+    @pytest.mark.parametrize("kind", ["file", "dangling-symlink"])
+    def test_non_directory_out_dir_is_named_and_kept(self, kind, all_sweeps, tmp_path):
+        out_dir = tmp_path / "report"
+        if kind == "file":
+            out_dir.write_text("old", encoding="utf-8")
+        else:
+            out_dir.symlink_to(tmp_path / "nowhere")
+        with pytest.raises(NotADirectoryError) as raised:
+            write_report_bundle(all_sweeps, out_dir)
+        assert raised.value.errno == errno.ENOTDIR
+        assert raised.value.filename == str(out_dir)
+        assert list(tmp_path.iterdir()) == [out_dir]
+        if kind == "file":
+            assert out_dir.read_text(encoding="utf-8") == "old"
+        else:
+            assert out_dir.readlink() == tmp_path / "nowhere"
+
     def test_new_parents_are_made(self, all_sweeps, tmp_path):
         out_dir = tmp_path / "a" / "b" / "report"
         write_report_bundle(all_sweeps, out_dir)
