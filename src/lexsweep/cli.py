@@ -52,7 +52,8 @@ def _build_parser() -> argparse.ArgumentParser:
         "--pos",
         action="append",
         metavar="TAG",
-        help="content POS tag; repeatable (default: VERB, NOUN); a blank tag is a usage error",
+        help="content POS tag, stripped as the corpus's tags are; repeatable "
+        "(default: VERB, NOUN); a blank tag is a usage error",
     )
     common.add_argument(
         "--word-key",
@@ -134,7 +135,7 @@ def _filter_config(args: argparse.Namespace) -> FilterConfig:
     stopwords = frozenset()
     if args.stopwords:
         stopwords = load_stopwords(args.stopwords)
-    content_pos = frozenset(args.pos) if args.pos else DEFAULT_CONTENT_POS
+    content_pos = frozenset(map(str.strip, args.pos)) if args.pos else DEFAULT_CONTENT_POS
     return FilterConfig(
         stopwords=stopwords,
         content_pos=content_pos,

@@ -11,8 +11,8 @@ by raw surface (and lemma), makes a repeated token cost one lookup.  A
 new token whose values are already clean (stripped, non-empty ASCII
 strings, under a POS the table holds) and a sentence of exactly an ASCII
 id, a flag and a non-empty token list take one short step that checks
-and builds them; anything else is checked in full, and a location is
-formatted only for a warning or an error.
+and builds them, formatting no location; anything else is checked in
+full, with its location.
 """
 
 from __future__ import annotations
@@ -156,32 +156,27 @@ def _check_utf8(value: str, field: str, where: str) -> str:
     return value
 
 
-def _parse_token(obj: Any, here: str, i: int, seen: dict[str, dict], warned: list[str]) -> Token:
-    """Check token i and enter it in seen; its location is built only to warn or fail."""
-    if type(obj) is not dict:
-        raise CorpusValidationError(f"token in {here}, token {i} must be an object")
-    known = obj.keys() <= _TOKEN_FIELDS
-    if not known:
-        _warn_unknown_fields(obj, _TOKEN_FIELDS, f"{here}, token {i}", warned)
-    surface, pos, lemma = obj.get("surface"), obj.get("pos"), obj.get("lemma")
-    if type(surface) is not str or not surface.isascii():
-        surface = _require(obj, "surface", str, f"{here}, token {i}")
-    if type(pos) is not str or not pos.isascii():
-        pos = _require(obj, "pos", str, f"{here}, token {i}")
-    if lemma is not None and (type(lemma) is not str or not lemma.isascii()):
-        if type(lemma) is not str:
-            raise CorpusValidationError(f"field 'lemma' in {here}, token {i} must be a string")
-        _check_utf8(lemma, "lemma", f"{here}, token {i}")
-    surface, pos, lemma = surface.strip(), pos.strip(), lemma and lemma.strip() or None
+def _parse_token(obj: Any, where: str, seen: dict[str, dict], warned: list[str]) -> Token:
+    """Check the token at where in full, then enter it in seen as _parse_tokens describes."""
+    if not isinstance(obj, dict):
+        raise CorpusValidationError(f"token in {where} must be an object")
+    _warn_unknown_fields(obj, _TOKEN_FIELDS, where, warned)
+    surface = _require(obj, "surface", str, where).strip()
+    pos = _require(obj, "pos", str, where).strip()
+    lemma = obj.get("lemma")
+    if lemma is not None and not isinstance(lemma, str):
+        raise CorpusValidationError(f"field 'lemma' in {where} must be a string")
+    if lemma is not None:
+        lemma = _check_utf8(lemma, "lemma", where).strip() or None
     key = surface if lemma is None else (surface, lemma)
     token = seen.get(pos, {}).get(key)
     if token is None:
         try:
             token = Token(surface, pos, lemma)
         except CorpusValidationError as exc:
-            raise CorpusValidationError(f"{exc} in {here}, token {i}") from None
+            raise CorpusValidationError(f"{exc} in {where}") from None
         seen.setdefault(pos, {})[key] = token
-    if known:
+    if obj.keys() <= _TOKEN_FIELDS:
         key = obj["surface"] if len(obj) == 2 else (obj["surface"], obj["lemma"])
         seen.setdefault(obj["pos"], {})[key] = token
     return token
@@ -209,7 +204,7 @@ def _parse_tokens(
     short step when that POS is stripped and the surface, and the lemma
     if there is one, are stripped, non-empty ASCII strings: those are the
     new Token's own values, so it is built and entered under them alone.
-    Any other token goes through _parse_token, the location built then.
+    Any other token is checked in full by _parse_token, given its location.
     """
     tokens = []
     for i, raw in enumerate(raw_tokens):
@@ -237,7 +232,7 @@ def _parse_tokens(
                 _set_pos(token, pos)
                 _set_lemma(token, lemma)
         if not token:
-            token = _parse_token(raw, f"{where}, sentence {sent_id!r}", i, seen, warned)
+            token = _parse_token(raw, f"{where}, sentence {sent_id!r}, token {i}", seen, warned)
         tokens.append(token)
     return tuple(tokens)
 

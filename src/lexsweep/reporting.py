@@ -189,7 +189,7 @@ def render_svg(result: SweepResult) -> str:
 def _stage(files: dict[str, str], staging: Path, out_dir: Path) -> None:
     """Write the files into a new staging directory, removed again if a
     write fails.  An OSError names out_dir, the path the caller gave, not
-    the hidden staging directory beside it."""
+    the hidden staging directory."""
     try:
         staging.mkdir()
         try:
@@ -207,15 +207,15 @@ def _stage(files: dict[str, str], staging: Path, out_dir: Path) -> None:
 def write_report_bundle(results: Iterable[SweepResult], out_dir) -> None:
     """Write per-measure CSV and SVG files plus summary.csv into a directory.
 
-    All or nothing: every file is rendered, then written into a new
-    directory beside out_dir.  A new out_dir is that directory, renamed.
-    Into an existing one the nine files are moved one by one, after a
-    check that none of their names is taken by a directory or other
-    non-regular file; its other files are left alone.  An out_dir that is
-    a file or a dangling symlink raises NotADirectoryError naming it,
-    before anything is written.  A render error, a write error or a
-    blocked name leaves out_dir as it was, and the temporary directory,
-    and any missing parents of out_dir made for it, are removed.
+    All or nothing: every file is rendered, then written into a hidden
+    staging directory.  A new out_dir is that directory, made beside it
+    and renamed.  An existing one holds it, so each move stays on its
+    filesystem, and gets the nine files one by one, after a check that no
+    name is taken by a directory or other non-regular file; its other
+    files are left alone.  A file or dangling symlink out_dir raises
+    NotADirectoryError naming it, before anything is written.  A render
+    error, a write error or a blocked name leaves out_dir as it was, and
+    the staging directory and any parents made for it are removed.
     """
     results = list(results)
     files = {}
@@ -227,13 +227,15 @@ def write_report_bundle(results: Iterable[SweepResult], out_dir) -> None:
     if os.path.lexists(out_dir) and not out_dir.is_dir():
         raise NotADirectoryError(errno.ENOTDIR, os.strerror(errno.ENOTDIR), str(out_dir))
     missing = list(takewhile(lambda parent: not parent.exists(), out_dir.parents))
+    existing = out_dir.is_dir()
     # not tempfile.mkdtemp: its mode 0700 would become the report's on rename
-    staging = out_dir.parent / f".{out_dir.name}.{os.urandom(8).hex()}.tmp"
+    home = out_dir if existing else out_dir.parent
+    staging = home / f".{out_dir.name}.{os.urandom(8).hex()}.tmp"
     try:
         out_dir.parent.mkdir(parents=True, exist_ok=True)
         _stage(files, staging, out_dir)
         try:
-            if not out_dir.is_dir():
+            if not existing:
                 staging.rename(out_dir)
                 return
             for name in files:

@@ -236,6 +236,12 @@ class TestStats:
         assert main(["stats", "--csv", "--pos", "VERB", *corpus_arg]) == 0
         assert capsys.readouterr().out.splitlines()[1] == "2,9,3,1,2,1"
 
+    def test_padded_pos_flag_is_stripped_as_the_corpus_tags_are(self, corpus_arg, capsys):
+        assert main(["stats", "--csv", "--pos", " VERB\t", *corpus_arg]) == 0
+        captured = capsys.readouterr()
+        assert captured.out.splitlines()[1] == "2,9,3,1,2,1"
+        assert captured.err == ""
+
     @pytest.mark.parametrize("pos", [[""], ["VERB", " "]], ids=["empty", "blank-beside-verb"])
     def test_blank_pos_is_a_usage_error(self, pos, corpus_arg, capsys):
         flags = [arg for tag in pos for arg in ("--pos", tag)]

@@ -228,18 +228,19 @@ class TestTokenTable:
         assert tokens == (Token("run", "VERB"),) * 4
         assert len({id(tok) for tok in tokens}) == 1
 
-    def test_a_repeated_token_is_neither_checked_nor_built_again(self, monkeypatch):
+    @pytest.mark.parametrize("word", ["run", "τρέχω"])
+    def test_a_repeated_token_is_neither_checked_nor_built_again(self, word, monkeypatch):
         known = [
-            {"surface": "run", "pos": "VERB"},
-            {"pos": "VERB", "surface": "run"},
-            {"surface": " run ", "pos": "VERB\t"},
-            {"surface": "run", "pos": "VERB", "lemma": None},
-            {"surface": "run", "pos": "VERB", "lemma": " "},
-            {"surface": "run", "pos": "VERB", "lemma": "run"},
-            {"lemma": "run", "surface": "run", "pos": "VERB"},
-            {"surface": "run", "pos": "NOUN", "lemma": "run"},
+            {"surface": word, "pos": "VERB"},
+            {"pos": "VERB", "surface": word},
+            {"surface": f" {word} ", "pos": "VERB\t"},
+            {"surface": word, "pos": "VERB", "lemma": None},
+            {"surface": word, "pos": "VERB", "lemma": " "},
+            {"surface": word, "pos": "VERB", "lemma": word},
+            {"lemma": word, "surface": word, "pos": "VERB"},
+            {"surface": word, "pos": "NOUN", "lemma": word},
         ]
-        unknown = {"surface": "run", "pos": "VERB", "morph": "x"}
+        unknown = {"surface": word, "pos": "VERB", "morph": "x"}
         shapes = known + [unknown]
         raw = [shapes[i % len(shapes)] for i in range(1000)]
         data = minimal_corpus_dict()
@@ -268,11 +269,11 @@ class TestTokenTable:
         monkeypatch.setattr(corpus_module, "_parse_token", counting_parse_token)
         with warnings.catch_warnings():
             warnings.simplefilter("ignore", CorpusWarning)
-            corpus = parse_corpus(json.dumps(data))
+            corpus = parse_corpus(json.dumps(data, ensure_ascii=False))
         tokens = [tok for sentence in sentences(corpus) for tok in sentence.tokens]
         built += [(tok.surface, tok.pos, tok.lemma) for tok in short_built]
         assert sorted(built, key=str) == [
-            ("run", "NOUN", "run"), ("run", "VERB", "run"), ("run", "VERB", None)
+            (word, "NOUN", word), (word, "VERB", word), (word, "VERB", None)
         ]
         assert len({id(tok) for tok in tokens}) == 3
         distinct_known = {json.dumps(shape, sort_keys=True) for shape in known}
@@ -663,6 +664,9 @@ class TestStreaming:
     @example(text='{"name": "x", "documents": [' + VALID + ",]}")
     @example(text=json.dumps(SHAPED))
     @example(text="7")
+    @example(text='{"name" "x", "documents": []}')
+    @example(text='{"name": "x" "documents": []}')
+    @example(text='{"name": "x", "documents": [{"id": "d", "sentences": []} {"id": "e", "sentences": []}]}')
     @example(text="[" * 100_000)
     @example(text='{"documents": [' + "[" * 100_000 + "]}")
     def test_matches_whole_text_path(self, text):

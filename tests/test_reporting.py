@@ -2,6 +2,7 @@ import csv
 import errno
 import hashlib
 import io
+import os
 import xml.etree.ElementTree as ET
 
 import pytest
@@ -166,6 +167,18 @@ class TestSvg:
             ys = {pair.split(",")[1] for pair in polyline.get("points").split()}
             assert len(ys) == 1
 
+    def test_empty_sweep_is_refused(self):
+        row = make_row(1)
+        result = SweepResult(
+            measure=Measure.COLLECTION_FREQ,
+            rows=(),
+            best_f=row,
+            best_f_under_cap=None,
+            fallout_cap=0.1,
+        )
+        with pytest.raises(ValueError, match="^need at least 1 row to plot$"):
+            render_svg(result)
+
     def test_single_row_renders(self):
         row = make_row(3)
         result = SweepResult(
@@ -247,6 +260,37 @@ class TestBundle:
         assert sorted(p.name for p in out_dir.iterdir()) == sorted(BUNDLE_NAMES + ["notes.txt"])
         assert (out_dir / "notes.txt").read_text(encoding="utf-8") == "keep me"
         assert (out_dir / "cf.csv").read_text(encoding="utf-8").startswith(CSV_HEADER)
+        assert [p.name for p in tmp_path.iterdir()] == ["report"]
+
+    def test_existing_out_dir_is_staged_inside_it(self, all_sweeps, tmp_path, monkeypatch):
+        # so each move stays on out_dir's filesystem, a mount point included
+        replace, sources = os.replace, []
+
+        def recording_replace(source, target):
+            sources.append(reporting.Path(source))
+            return replace(source, target)
+
+        out_dir = tmp_path / "report"
+        out_dir.mkdir()
+        monkeypatch.setattr(reporting.os, "replace", recording_replace)
+        write_report_bundle(all_sweeps, out_dir)
+        assert len(sources) == len(BUNDLE_NAMES)
+        assert all(source.parent.parent == out_dir for source in sources)
+        assert sorted(p.name for p in out_dir.iterdir()) == BUNDLE_NAMES
+
+    def test_existing_out_dir_needs_no_room_in_its_parent(self, all_sweeps, tmp_path, monkeypatch):
+        mkdir = reporting.Path.mkdir
+
+        def refusing_mkdir(path, *args, **kwargs):
+            if path.parent == tmp_path and path.name.startswith(".report."):
+                raise PermissionError(errno.EACCES, "Permission denied", str(path))
+            return mkdir(path, *args, **kwargs)
+
+        out_dir = tmp_path / "report"
+        out_dir.mkdir()
+        monkeypatch.setattr(reporting.Path, "mkdir", refusing_mkdir)
+        write_report_bundle(all_sweeps, out_dir)
+        assert sorted(p.name for p in out_dir.iterdir()) == BUNDLE_NAMES
         assert [p.name for p in tmp_path.iterdir()] == ["report"]
 
     def test_write_error_leaves_nothing(self, all_sweeps, tmp_path, monkeypatch):
