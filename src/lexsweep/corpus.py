@@ -121,6 +121,7 @@ _DOCUMENT_FIELDS = {"id", "sentences"}
 _CORPUS_FIELDS = {"name", "documents"}
 
 _DECODER = json.JSONDecoder()
+_skip = WHITESPACE.match  # JSON's [ \t\n\r]*, as json.loads skips it
 
 
 def _warn_unknown_fields(obj: dict, known: set[str], where: str, warned: list[str]) -> None:
@@ -270,7 +271,10 @@ def _parse_sentence(
     if not raw_tokens:
         warned.append(f"empty sentence {sent_id!r} in {where}")
     tokens = _parse_tokens(raw_tokens, where, sent_id, seen, warned)
-    return Sentence(id=sent_id, annotated=annotated, tokens=tokens, message_type=message_type)
+    try:
+        return Sentence(id=sent_id, annotated=annotated, tokens=tokens, message_type=message_type)
+    except CorpusValidationError as exc:
+        raise CorpusValidationError(f"{exc} in {where}") from None
 
 
 def _parse_document(
@@ -337,41 +341,28 @@ def parse_corpus(source: Union[bytes, str, IO[bytes], IO[str]]) -> Corpus:
 def _walk_top_level(text: str, warned: list[str]) -> Corpus:
     """Read the top-level object member by member, streaming its documents array.
 
-    Raises ValueError (JSONDecodeError among them) wherever json.loads would
-    fail, and when the top level is not an object.  Once the text is read,
-    the top-level checks come first, then the documents' warnings and the
-    first validation error among them.
+    _expect reads every brace, key quote, colon and comma.  Raises ValueError
+    (JSONDecodeError among them) wherever json.loads would fail, and when the
+    top level is not an object.  Once the text is read, the top-level checks
+    come first, then the last documents array's warnings and first error.
     """
-    skip = WHITESPACE.match  # JSON's [ \t\n\r]*, as json.loads skips it
     fields: dict[str, Any] = {}
     document_warnings: list[str] = []
     error = None
-    pos = skip(text).end()
-    if not text.startswith("{", pos):
-        raise ValueError("top level is not an object")
-    pos = skip(text, pos + 1).end()
-    more = not text.startswith("}", pos)
-    while more:
-        if not text.startswith('"', pos):
-            raise ValueError("expecting a key")
-        key, pos = scanstring(text, pos + 1)
-        pos = skip(text, pos).end()
-        if not text.startswith(":", pos):
-            raise ValueError("expecting ':'")
-        pos = skip(text, pos + 1).end()
-        if key == "documents":  # a repeated key keeps its last value, as in json.loads
-            document_warnings, error = [], None
+    _, pos = _expect(text, 0, "{")
+    char, pos = _expect(text, pos, '"}')
+    while char == '"':
+        key, pos = scanstring(text, pos)
+        _, pos = _expect(text, pos, ":")
+        pos = _skip(text, pos).end()
         if key == "documents" and text.startswith("[", pos):
-            fields[key], error, pos = _walk_documents(text, pos + 1, document_warnings)
+            fields[key], document_warnings, error, pos = _walk_documents(text, pos + 1)
         else:
             fields[key], pos = _DECODER.raw_decode(text, pos)
-        pos = skip(text, pos).end()
-        more = text.startswith(",", pos)
-        if more:
-            pos = skip(text, pos + 1).end()
-        elif not text.startswith("}", pos):
-            raise ValueError("expecting ',' or '}'")
-    if skip(text, pos + 1).end() != len(text):
+        char, pos = _expect(text, pos, ",}")
+        if char == ",":
+            char, pos = _expect(text, pos, '"')
+    if _skip(text, pos).end() != len(text):
         raise ValueError("extra data")
     _warn_unknown_fields(fields, _CORPUS_FIELDS, "corpus", warned)
     name = _require(fields, "name", str, "corpus")
@@ -383,21 +374,21 @@ def _walk_top_level(text: str, warned: list[str]) -> Corpus:
 
 
 def _walk_documents(
-    text: str, pos: int, warned: list[str]
-) -> tuple[list[Document], CorpusValidationError | None, int]:
+    text: str, pos: int
+) -> tuple[list[Document], list[str], CorpusValidationError | None, int]:
     """Convert the documents array whose '[' ends just before pos.
 
-    Returns the documents, the first validation error and the array's end.
-    After that error the remaining documents are decoded but not converted,
-    so a later syntax error still surfaces.
+    Returns the documents, their warnings, the first validation error and
+    the array's end.  After that error the remaining documents are decoded
+    but not converted, so a later syntax error still surfaces.
     """
-    skip = WHITESPACE.match
     seen: dict[str, dict] = {}
     documents: list[Document] = []
+    warned: list[str] = []
     error = None
-    pos = skip(text, pos).end()
+    pos = _skip(text, pos).end()
     if text.startswith("]", pos):
-        return documents, error, pos + 1
+        return documents, warned, error, pos + 1
     while True:
         raw, pos = _DECODER.raw_decode(text, pos)
         if error is None:
@@ -406,12 +397,19 @@ def _walk_documents(
             except CorpusValidationError as exc:
                 error = exc
         del raw  # free this document's dicts before the next one is decoded
-        pos = skip(text, pos).end()
-        if text.startswith("]", pos):
-            return documents, error, pos + 1
-        if not text.startswith(",", pos):
-            raise ValueError("expecting ',' or ']'")
-        pos = skip(text, pos + 1).end()
+        char, pos = _expect(text, pos, ",]")
+        if char == "]":
+            return documents, warned, error, pos
+        pos = _skip(text, pos).end()
+
+
+def _expect(text: str, pos: int, chars: str) -> tuple[str, int]:
+    """Skip whitespace, then read one of chars: (it, the position after it), else ValueError."""
+    pos = _skip(text, pos).end()
+    char = text[pos:pos + 1]
+    if not char or char not in chars:
+        raise ValueError(f"expecting one of {chars!r}")
+    return char, pos + 1
 
 
 def load_corpus(path) -> Corpus:

@@ -116,9 +116,38 @@ MUTANTS = (
     Mutant(
         "repeated-documents-key-keeps-held-warnings",
         "corpus.py",
-        "document_warnings, error = [], None",
-        "error = None",
+        "fields[key], document_warnings, error, pos = _walk_documents(text, pos + 1)",
+        "fields[key], found, error, pos = _walk_documents(text, pos + 1)\n"
+        "            document_warnings = document_warnings + found",
         ("test_corpus.py",),
+    ),
+    Mutant(
+        "expect-without-its-check",
+        "corpus.py",
+        "if not char or char not in chars:",
+        "if not char:",
+        ("test_corpus.py",),
+    ),
+    Mutant(
+        "unknown-fields-unsorted",
+        "corpus.py",
+        "sorted(set(obj) - known)",
+        "list(set(obj) - known)",
+        ("test_corpus.py",),
+    ),
+    Mutant(
+        "normalize-lower-not-casefold",
+        "lexicon.py",
+        "key = key.casefold()",
+        "key = key.lower()",
+        ("test_lexicon.py",),
+    ),
+    Mutant(
+        "best-row-empty-e-and-m-as-f-zero",
+        "sweep.py",
+        "if total else (1, 1)",
+        "if total else (0, 1)",
+        ("test_sweep.py",),
     ),
 )
 

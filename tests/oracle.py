@@ -109,7 +109,10 @@ def _oracle_sentence(obj, where: str, shared: dict[Token, Token], warned: list[s
     tokens = tuple(
         _oracle_token(t, f"{here}, token {i}", shared, warned) for i, t in enumerate(raw_tokens)
     )
-    return Sentence(id=sent_id, annotated=annotated, tokens=tokens, message_type=message_type)
+    try:
+        return Sentence(id=sent_id, annotated=annotated, tokens=tokens, message_type=message_type)
+    except CorpusValidationError as exc:
+        raise CorpusValidationError(f"{exc} in {where}") from None
 
 
 def _oracle_token(obj, where: str, shared: dict[Token, Token], warned: list[str]) -> Token:

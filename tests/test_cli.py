@@ -94,6 +94,19 @@ class TestValidate:
         err = capsys.readouterr().err
         assert "duplicate document id 'd1'" in err
 
+    def test_unannotated_message_type_names_its_document(self, tmp_path, capsys):
+        def doc(doc_id, **fields):
+            sentence = {"id": "s1", "annotated": False, "tokens": [{"surface": "x", "pos": "NOUN"}]}
+            return {"id": doc_id, "sentences": [{**sentence, **fields}]}
+
+        data = {"name": "two", "documents": [doc("d1"), doc("d2", message_type="kidnap")]}
+        path = write_json(tmp_path / "two.json", data)
+        assert main(["validate", "--corpus", path]) == 2
+        assert capsys.readouterr().err == (
+            "error: sentence 's1' carries message_type 'kidnap' but is not annotated"
+            " in document 'd2'\n"
+        )
+
     def test_malformed_json(self, tmp_path, capsys):
         path = tmp_path / "broken.json"
         path.write_text('{"name": "x", ', encoding="utf-8")

@@ -374,6 +374,8 @@ class TestShortSteps:
             ([RUN, {"surface": "walk", "morph": "x", "lemma": "walk"}],
              f"missing field 'pos' in {WHERE}, token 1",
              [f"ignoring unknown field(s) 'morph' in {WHERE}, token 1"]),
+            ([{**RUN, **dict.fromkeys("edcba", 1)}],
+             None, [f"ignoring unknown field(s) 'a', 'b', 'c', 'd', 'e' in {WHERE}, token 0"]),
             ([RUN, {"surface": "walk", "pos": "NOUN"}, {"surface": "run", "pos": "NOUN"}],
              None, []),
             ([RUN, {"surface": "walk", "pos": ""}], f"empty token pos in {WHERE}, token 1", []),
@@ -390,7 +392,8 @@ class TestShortSteps:
             "unstripped-pos-already-a-key", "non-ascii-surface", "non-ascii-lemma",
             "surrogate-surface", "surrogate-lemma", "blank-surface", "empty-surface",
             "non-str-surface", "non-str-lemma", "null-lemma", "blank-lemma", "padded-lemma",
-            "unknown-field", "unknown-field-in-three", "first-of-a-pos", "first-of-a-pos-empty",
+            "unknown-field", "unknown-field-in-three", "unknown-fields-sorted", "first-of-a-pos",
+            "first-of-a-pos-empty",
             "first-token-blank-pos", "first-of-a-pos-surrogate", "first-of-a-pos-non-str",
             "non-dict-list", "non-dict-str",
         ],
@@ -405,7 +408,8 @@ class TestShortSteps:
         [
             ({"annotated": True, "message_type": "kidnap"}, None, []),
             ({"message_type": "kidnap"},
-             "sentence 's1' carries message_type 'kidnap' but is not annotated", []),
+             "sentence 's1' carries message_type 'kidnap' but is not annotated in document 'd1'",
+             []),
             ({"annotated": 1},
              "field 'annotated' in document 'd1', sentence 's1' must be bool, got int", []),
             ({"tokens": []}, None, ["empty sentence 's1' in document 'd1'"]),
@@ -667,6 +671,11 @@ class TestStreaming:
     @example(text='{"name" "x", "documents": []}')
     @example(text='{"name": "x" "documents": []}')
     @example(text='{"name": "x", "documents": [{"id": "d", "sentences": []} {"id": "e", "sentences": []}]}')
+    @example(text='x"name": "x", "documents": [{"id": "d", "sentences": []}]}')
+    @example(text='{xname": "x", "documents": [{"id": "d", "sentences": []}]}')
+    @example(text='{"name"; "x", "documents": [{"id": "d", "sentences": []}]}')
+    @example(text='{"name": "x", "documents": [{"id": "d", "sentences": []}]]')
+    @example(text='{"name": "x", "documents": [{"id": "d", "sentences": []};{"id": "e", "sentences": []}]}')
     @example(text="[" * 100_000)
     @example(text='{"documents": [' + "[" * 100_000 + "]}")
     def test_matches_whole_text_path(self, text):

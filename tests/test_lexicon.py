@@ -46,6 +46,10 @@ class TestNormalize:
         config = FilterConfig(stopwords=frozenset({"be"}))
         assert normalize(Token("BE", pos="VERB"), config) is None
 
+    def test_case_fold_is_full_unicode_folding(self, config):
+        assert normalize(Token("Straße", pos="NOUN"), config) == "strasse"
+        assert normalize(Token("STRASSE", pos="NOUN"), config) == "strasse"
+
     def test_no_case_fold(self):
         config = FilterConfig(case_fold=False)
         assert normalize(Token("Arrived", pos="VERB"), config) == "Arrived"

@@ -192,6 +192,7 @@ class TestExactBestF:
     @given(rows=count_rows(), cap=CAPS)
     @example(rows=rows_from_counts(2, 8, [(4, 1), (10, 2), (0, 0)]), cap=None)
     @example(rows=rows_from_counts(0, 1, [(1, 0), (0, 0), (1, 0)]), cap=0.0)
+    @example(rows=rows_from_counts(0, 1, [(1, 0), (0, 0)]), cap=None)  # |E| = |M| = 0 is F = 1
     def test_matches_a_fraction_argmax(self, rows, cap):
         for row in rows:  # F's float is the fraction, rounded
             assert row.f_measure == pytest.approx(float(exact_f(row)))
